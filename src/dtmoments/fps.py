@@ -360,7 +360,14 @@ class Series:
         modulus = 2
         trunc: int | None = None
         terms: dict[Exponents, object] = {}
-        for raw in text.splitlines():
+
+        def integer(token: str, what: str, lineno: int) -> int:
+            try:
+                return int(token)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {what} {token!r} is not an integer") from None
+
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -369,19 +376,28 @@ class Series:
                 if body.startswith("vars:"):
                     names = tuple(body[5:].split())
                 elif body.startswith("N:"):
-                    modulus = int(body[2:])
+                    modulus = integer(body[2:].strip(), "modulus", lineno)
                 elif body.startswith("D:"):
-                    trunc = int(body[2:])
+                    trunc = integer(body[2:].strip(), "degree bound", lineno)
                 continue
             if names is None or trunc is None:
-                raise ValueError("term line before '# vars:'/'# D:' headers")
+                raise ValueError(f"line {lineno}: term line before '# vars:'/'# D:' headers")
             parts = line.split()
             num_s, _, den_s = parts[0].partition("/")
-            coeff = Fraction(int(num_s), int(den_s) if den_s else 1)
+            num = integer(num_s, "coefficient numerator", lineno)
+            den = integer(den_s, "coefficient denominator", lineno) if den_s else 1
+            if den == 0:
+                raise ValueError(f"line {lineno}: zero denominator in {parts[0]!r}")
+            coeff = Fraction(num, den)
             exps = [0] * len(names)
             for tok in parts[1:]:
                 name, _, pow_s = tok.partition("^")
-                exps[names.index(name)] = int(pow_s) if pow_s else 1
+                if name not in names:
+                    raise ValueError(f"line {lineno}: unknown variable {name!r}")
+                exp = integer(pow_s, "exponent", lineno) if pow_s else 1
+                if exp < 0:
+                    raise ValueError(f"line {lineno}: negative exponent in {tok!r}")
+                exps[names.index(name)] = exp
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
         if names is None or trunc is None:

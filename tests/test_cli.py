@@ -152,6 +152,30 @@ def test_odot_mismatched_registries_is_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+MALFORMED_LINES = [
+    ("1/0 z1 w1", "zero denominator"),
+    ("1/2 x9 w1", "unknown variable 'x9'"),
+    ("1.5 z1 w1", "not an integer"),
+    ("1/2.0 z1 w1", "not an integer"),
+    ("1/2 z1^a w1", "not an integer"),
+    ("1/2 z1^1.5 w1", "not an integer"),
+    ("1/2 z1^-1 w1^3", "negative exponent"),
+]
+
+
+@pytest.mark.parametrize("command", ["etransform", "odot"])
+@pytest.mark.parametrize("line, reason", MALFORMED_LINES)
+def test_malformed_series_line_is_one_line_usage_error(tmp_path, capsys, command, line, reason):
+    path = tmp_path / "bad.series"
+    path.write_text("# vars: z1 w1\n# N: 2\n# D: 4\n1/1\n" + line + "\n", encoding="ascii")
+    args = [str(path)] if command == "etransform" else [str(path), str(path)]
+    code, out, err = run(capsys, command, *args)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "line 5" in err and reason in err
+
+
 # ---------------------------------------------------------------- diagonal
 
 def test_diagonal_h_text(capsys):

@@ -294,6 +294,15 @@ def test_text_round_trip_is_exact():
         assert g.to_text() == f.to_text()
 
 
+def test_text_header_errors_name_the_line():
+    with pytest.raises(ValueError, match="line 2: degree bound 'x' is not an integer"):
+        Series.from_text("# vars: z1 w1\n# D: x\n")
+    with pytest.raises(ValueError, match="line 2: modulus '2.5' is not an integer"):
+        Series.from_text("# vars: z1 w1\n# N: 2.5\n# D: 4\n")
+    with pytest.raises(ValueError, match="line 1: term line before"):
+        Series.from_text("1/1 z1 w1\n# vars: z1 w1\n# D: 4\n")
+
+
 def test_json_round_trip_is_exact():
     rng = random.Random(67)
     for _ in range(10):

@@ -94,8 +94,20 @@ def test_bounds_are_validated():
 
 
 def test_rational_expansion_matches_series():
-    for n, D in ((1, 8), (2, 8), (3, 8), (4, 6)):
+    for n, D in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 8), (6, 6)):
         assert expand_to_series(f_rational(n), D) == f_series(n, D)
+
+
+def test_rational_form_tables_are_keyed_by_form_id():
+    # the closed product reuses table keys as ids instead of re-rendering them
+    for n in range(1, 6):
+        expr = f_rational(n)
+        forms = expr.table.forms
+        for fid, form in forms.items():
+            assert fid == form_id(form)
+        for t in expr.terms:
+            assert all(fid in forms for fid in t.denominator)
+            assert all(s in forms for s in t.numerator.symbols)
 
 
 def test_rational_two_pairs_structure():
