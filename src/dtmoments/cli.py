@@ -226,10 +226,7 @@ def main(argv=None) -> int:
         args.output = "json" if args.command in _JSON_DEFAULT else "text"
     try:
         args.func(args)
-    except DistinctnessViolation as exc:
-        print(f"dtmoments: computation failed: {exc}", file=sys.stderr)
-        return 1
-    except ExactDivisionError as exc:
+    except (DistinctnessViolation, ExactDivisionError, RecursionError) as exc:
         print(f"dtmoments: computation failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -29,6 +29,12 @@ def _norm_coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class VariableRegistry:
     """Ordered variable names together with the homogeneity modulus N.
@@ -418,11 +424,45 @@ class Series:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Series":
-        registry = VariableRegistry(tuple(data["vars"]), int(data.get("N", 2)))
-        terms = {
-            tuple(t["exps"]): Fraction(t["num"], t["den"]) for t in data["terms"]
-        }
-        return cls(registry, int(data["D"]), terms)
+        """Inverse of to_json_dict.  Malformed input raises ValueError naming
+        the field, or the index of the offending term."""
+        if not isinstance(data, dict):
+            raise ValueError("a series must be a JSON object")
+        for field in ("vars", "D", "terms"):
+            if field not in data:
+                raise ValueError(f"missing field {field!r}")
+        names = data["vars"]
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise ValueError("field 'vars' must be a list of names")
+        registry = VariableRegistry(tuple(names), _json_int(data.get("N", 2), "field 'N'"))
+        trunc = _json_int(data["D"], "field 'D'")
+        if trunc < 0:
+            raise ValueError("field 'D' must be >= 0")
+        if not isinstance(data["terms"], list):
+            raise ValueError("field 'terms' must be a list")
+        size, mod = registry.size, registry.modulus
+        terms = []
+        for i, t in enumerate(data["terms"]):
+            where = f"term {i}"
+            if not isinstance(t, dict):
+                raise ValueError(f"{where}: not an object")
+            for field in ("exps", "num", "den"):
+                if field not in t:
+                    raise ValueError(f"{where}: missing field {field!r}")
+            exps = t["exps"]
+            if not isinstance(exps, list) or len(exps) != size:
+                raise ValueError(f"{where}: 'exps' must list {size} exponents")
+            for x in exps:
+                if _json_int(x, f"{where}: exponent") < 0:
+                    raise ValueError(f"{where}: negative exponent {x}")
+            if sum(exps) % mod:
+                raise ValueError(f"{where}: degree {sum(exps)} is not a multiple of N = {mod}")
+            num = _json_int(t["num"], f"{where}: 'num'")
+            den = _json_int(t["den"], f"{where}: 'den'")
+            if den == 0:
+                raise ValueError(f"{where}: zero denominator")
+            terms.append((exps, Fraction(num, den)))
+        return cls(registry, trunc, terms)
 
 
 # -- free functions over Series ---------------------------------------------------

@@ -26,11 +26,26 @@ class DistinctnessViolation(ValueError):
     """The pairwise sums u_i + v_j of a closed product are not distinct."""
 
 
-# -- raw polynomial dictionaries ----------------------------------------------------
+# -- packed polynomial kernel -------------------------------------------------------
 #
-# The heavy arithmetic (building Q and dividing it down to P) runs on plain
-# {exponent tuple: int} dicts; SymPoly is a thin wrapper used at the API
-# boundary.
+# Building Q and dividing it down to P runs on plain {monomial: int} dicts
+# whose monomials are packed ints.  Layout: the exponent of variable i sits
+# in the bit field [i*width, (i+1)*width), so a monomial product is one
+# integer addition and an exponent is read with a shift and a mask.
+#
+# Width rule: a computation takes its width from a bound on the total degree
+# of every polynomial it builds; _width(bound) bits hold 0..bound (_p_width
+# and _q_width give the bounds of P and Q).  A total degree bounds every
+# single exponent, so while the bound holds no product or sum carries from
+# one field into the next.
+#
+# Overflow rule: a field must never wrap.  _pmono, where every packed
+# monomial starts, raises OverflowError on an exponent that does not fit
+# its field.
+#
+# Results are unpacked to exponent tuples once, when the SymPoly is built
+# (_unpacked).  _padd, _padd_into and _pscale never look inside their keys,
+# so they also serve the tuple-keyed SymPoly and Series.
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -54,64 +69,80 @@ def _padd_into(acc: dict, terms: dict, c=1) -> None:
             del acc[e]
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
-
-
 def _pscale(a: dict, c) -> dict:
     if c == 0:
         return {}
     return {e: v * c for e, v in a.items()}
 
 
-def _pmono(size: int, idx_pows) -> tuple:
-    e = [0] * size
-    for idx, p in idx_pows:
-        e[idx] += p
-    return tuple(e)
+def _width(bound: int) -> int:
+    """Bits per exponent field for polynomials of total degree <= bound."""
+    return max(1, bound.bit_length())
 
 
-def _div_linear(terms: dict, main: int, c0: dict, c1: int) -> dict:
+def _pmono(width: int, idx: int, power: int = 1) -> int:
+    """The packed monomial x_idx^power; raises OverflowError if the power
+    does not fit a field of ``width`` bits."""
+    if not 0 <= power < 1 << width:
+        raise OverflowError(f"exponent {power} does not fit a {width}-bit field")
+    return power << (width * idx)
+
+
+def _unpacked(terms: dict, size: int, width: int) -> dict:
+    """The same polynomial keyed by exponent tuples."""
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(size)]
+    return {tuple((e >> s) & mask for s in shifts): c for e, c in terms.items()}
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _swapped(terms: dict, width: int, a: int, b: int) -> dict:
+    """The same polynomial with the exponents of x_a and x_b exchanged."""
+    mask = (1 << width) - 1
+    sa = width * a
+    sb = width * b
+    delta = (1 << sa) - (1 << sb)
+    return {e + (((e >> sb) & mask) - ((e >> sa) & mask)) * delta: c for e, c in terms.items()}
+
+
+def _div_linear(terms: dict, width: int, main: int, c0: dict, c1: int) -> dict:
     """Exact division by c1*x_main + c0 with c0 free of x_main, c1 = +-1.
 
-    Standard long division in x_main; the unit leading coefficient keeps
-    everything in integers.  Raises ExactDivisionError on a nonzero
-    remainder.
+    Synthetic division on buckets: the dividend is split once by its degree
+    in x_main, then the buckets are walked from the top degree down.  Bucket
+    d, once the higher buckets have pushed into it, divided by c1*x_main is
+    the quotient's part of degree d-1 in x_main; that part times c0 is
+    subtracted from bucket d-1.  What is left in bucket 0 is the remainder,
+    and a nonzero remainder raises ExactDivisionError.
     """
+    shift = width * main
+    unit = 1 << shift
+    mask = (1 << width) - 1
+    buckets: list = [{} for _ in range(mask + 1)]
+    for e, c in terms.items():
+        buckets[(e >> shift) & mask][e] = c
     quot: dict = {}
-    cur = dict(terms)
-    while True:
-        d = 0
-        for e in cur:
-            if e[main] > d:
-                d = e[main]
-        if d == 0:
-            break
-        top = [(e, c) for e, c in cur.items() if e[main] == d]
-        for e, c in top:
-            qc = c if c1 == 1 else -c
-            qe = e[:main] + (d - 1,) + e[main + 1 :]
-            quot[qe] = quot.get(qe, 0) + qc
-            del cur[e]
-            for e0, v0 in c0.items():
-                ne = tuple(x + y for x, y in zip(qe, e0))
-                v = cur.get(ne, 0) - qc * v0
-                if v:
-                    cur[ne] = v
-                elif ne in cur:
-                    del cur[ne]
-    if cur:
+    for d in range(mask, 0, -1):
+        part = {e - unit: c * c1 for e, c in buckets[d].items() if c}
+        lower = buckets[d - 1]
+        get = lower.get
+        for e0, v0 in c0.items():
+            for e, c in part.items():
+                key = e + e0
+                lower[key] = get(key, 0) - c * v0
+        quot.update(part)
+    if any(buckets[0].values()):
         raise ExactDivisionError("division expected to be exact left a remainder")
     return quot
 
@@ -223,7 +254,19 @@ class SymPoly:
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._require_same(other)
-        return SymPoly(self.symbols, _pmul(self.terms, other.terms), _checked=True)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                v = out.get(key, 0) + c1 * c2
+                if v:
+                    out[key] = v
+                elif key in out:
+                    del out[key]
+        return SymPoly(self.symbols, out, _checked=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -345,53 +388,48 @@ def uv_symbols(m: int, n: int) -> tuple:
     )
 
 
+def _q_width(m: int, n: int) -> int:
+    # the product over all cells (degree mn) bounds every intermediate, and
+    # Q itself has degree <= mn - k - l - 1 + C(m,2) + C(n,2)
+    return _width(m * n + math.comb(m, 2) + math.comb(n, 2))
+
+
+def _p_width(m: int, n: int) -> int:
+    # node values have degree K + L + (m-1)n, largest at k = l = 0, and the
+    # Newton table only lowers degrees
+    return _width((m - 1) * n + (m - 1) + (n - 1))
+
+
+def _diff_product(xs) -> dict:
+    """prod_{p<q} (x_p - x_q) over packed variables."""
+    prod = {0: 1}
+    for a, b in combinations(xs, 2):
+        prod = _pmul(prod, {a: 1, b: -1})
+    return prod
+
+
 @lru_cache(maxsize=None)
 def _q_basis(m: int, n: int) -> tuple:
     """Per cell (i,j): the k,l-independent factor of the Q sum, namely
     sign * prod_{(i',j') != (i,j)} (1 - u_i' - v_j')
          * prod_{p<q, p,q != i} (u_p - u_q)
-         * prod_{r<s, r,s != j} (v_r - v_s).
-    The big product over all cells is built once and each cell divides one
-    trinomial back out.
+         * prod_{r<s, r,s != j} (v_r - v_s),
+    packed with width _q_width(m, n).  The big product over all cells is
+    built once and each cell divides one trinomial back out.
     """
-    size = m + n
-    one = {(0,) * size: 1}
-    full = one
-    for i in range(m):
-        for j in range(n):
-            tri = {
-                (0,) * size: 1,
-                _pmono(size, [(i, 1)]): -1,
-                _pmono(size, [(m + j, 1)]): -1,
-            }
-            full = _pmul(full, tri)
-
-    vd_u = []
-    for i in range(m):
-        prod = one
-        for p, q in combinations(range(m), 2):
-            if p != i and q != i:
-                prod = _pmul(
-                    prod,
-                    {_pmono(size, [(p, 1)]): 1, _pmono(size, [(q, 1)]): -1},
-                )
-        vd_u.append(prod)
-    vd_v = []
-    for j in range(n):
-        prod = one
-        for r, s in combinations(range(n), 2):
-            if r != j and s != j:
-                prod = _pmul(
-                    prod,
-                    {_pmono(size, [(m + r, 1)]): 1, _pmono(size, [(m + s, 1)]): -1},
-                )
-        vd_v.append(prod)
-
+    width = _q_width(m, n)
+    us = [_pmono(width, i) for i in range(m)]
+    vs = [_pmono(width, m + j) for j in range(n)]
+    full = {0: 1}
+    for u in us:
+        for v in vs:
+            full = _pmul(full, {0: 1, u: -1, v: -1})
+    vd_u = [_diff_product(us[:i] + us[i + 1 :]) for i in range(m)]
+    vd_v = [_diff_product(vs[:j] + vs[j + 1 :]) for j in range(n)]
     basis = []
     for i in range(m):
         for j in range(n):
-            c0 = _padd({(0,) * size: 1}, {_pmono(size, [(m + j, 1)]): -1})
-            cof = _div_linear(full, i, c0, -1)
+            cof = _div_linear(full, width, i, {0: 1, vs[j]: -1}, -1)
             cell = _pmul(cof, _pmul(vd_u[i], vd_v[j]))
             if (i + j) % 2:
                 cell = _pscale(cell, -1)
@@ -404,42 +442,26 @@ def q_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
     cell powers u_i^{m-k-1} v_j^{n-l-1}."""
     if not (0 <= k <= m - 1 and 0 <= l <= n - 1):
         raise ValueError("need 0 <= k <= m-1 and 0 <= l <= n-1")
-    size = m + n
+    width = _q_width(m, n)
     basis = _q_basis(m, n)
     acc: dict = {}
     for i in range(m):
         for j in range(n):
-            shift = _pmono(size, [(i, m - k - 1), (m + j, n - l - 1)])
-            cell = basis[i * n + j]
-            for e, c in cell.items():
-                key = tuple(x + y for x, y in zip(e, shift))
-                v = acc.get(key, 0) + c
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-    return SymPoly(uv_symbols(m, n), acc, _checked=True)
+            shift = _pmono(width, i, m - k - 1) + _pmono(width, m + j, n - l - 1)
+            _padd_into(acc, {e + shift: c for e, c in basis[i * n + j].items()})
+    return SymPoly(uv_symbols(m, n), _unpacked(acc, m + n, width), _checked=True)
 
 
 @lru_cache(maxsize=None)
-def _row_products(m: int, n: int) -> tuple:
-    """Per row i: prod of (1 - u_i' - v_j) over all cells outside row i."""
-    size = m + n
-    rows = []
-    for i in range(m):
-        prod = {(0,) * size: 1}
-        for ip in range(m):
-            if ip == i:
-                continue
-            for j in range(n):
-                tri = {
-                    (0,) * size: 1,
-                    _pmono(size, [(ip, 1)]): -1,
-                    _pmono(size, [(m + j, 1)]): -1,
-                }
-                prod = _pmul(prod, tri)
-        rows.append(prod)
-    return tuple(rows)
+def _row_product(m: int, n: int) -> dict:
+    """prod of (1 - u_i - v_j) over all cells outside row 0, packed with
+    width _p_width(m, n)."""
+    width = _p_width(m, n)
+    prod = {0: 1}
+    for i in range(1, m):
+        for j in range(n):
+            prod = _pmul(prod, {0: 1, _pmono(width, i): -1, _pmono(width, m + j): -1})
+    return prod
 
 
 @lru_cache(maxsize=None)
@@ -456,39 +478,32 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
     with K = m-k-1, L = n-l-1 (the column sum is a divided difference of
     y^L/(1-x-y) over the v's, which kills the polynomial part of degree
     <= n-2 and turns the pole into prod_j(1-x-v_j)).  The remaining row sum
-    is the (m-1)-st divided difference over the u's of the node values
-    N_i = u_i^K (1-u_i)^L prod_{i'!=i, j}(1 - u_i' - v_j), so a Newton
-    table evaluates it with C(m,2) exact linear divisions; swapping any two
-    u's inside a window flips the window's partial sum, which is exactly
-    the divisibility that makes every table step remainder-free.  Compared
-    with dividing Q directly this keeps intermediates near the size of P
-    itself instead of the size of Q.
+    is the (m-1)-st divided difference D[0..m-1] over the u's of the node
+    values N_i = u_i^K (1-u_i)^L prod_{i'!=i, j}(1 - u_i' - v_j), reached
+    along the Newton recurrence
+
+        D[0..b] = (D[1..b] - D[0..b-1]) / (u_b - u_0).
+
+    N_i is N_0 with u_0 and u_i exchanged, so exchanging u_0 and u_b turns
+    the window sum D[0..b-1] into D[1..b].  Each step therefore divides
+    swap(D) - D, which changes sign under that exchange and so is divisible
+    by u_b - u_0: m-1 exact linear divisions in all.  Compared with dividing
+    Q directly this keeps intermediates near the size of P itself instead
+    of the size of Q.
     """
     if not (0 <= k <= m - 1 and 0 <= l <= n - 1):
         raise ValueError("need 0 <= k <= m-1 and 0 <= l <= n-1")
-    size = m + n
     K = m - k - 1
     L = n - l - 1
-    rows = _row_products(m, n)
-    nodes = []
-    for i in range(m):
-        weight = {
-            _pmono(size, [(i, K + t)]): (-1) ** t * math.comb(L, t)
-            for t in range(L + 1)
-        }
-        nodes.append(_pmul(rows[i], weight))
-    while len(nodes) > 1:
-        r = m - len(nodes) + 1
-        nodes = [
-            _div_linear(
-                _padd(nodes[i + 1], _pscale(nodes[i], -1)),
-                i + r,
-                {_pmono(size, [(i, 1)]): -1},
-                1,
-            )
-            for i in range(len(nodes) - 1)
-        ]
-    return SymPoly(uv_symbols(m, n), nodes[0], _checked=True)
+    width = _p_width(m, n)
+    weight = {_pmono(width, 0, K + t): (-1) ** t * math.comb(L, t) for t in range(L + 1)}
+    window = _pmul(_row_product(m, n), weight)
+    u0 = {_pmono(width, 0): -1}
+    for b in range(1, m):
+        dividend = _swapped(window, width, 0, b)
+        _padd_into(dividend, window, -1)
+        window = _div_linear(dividend, width, b, u0, 1)
+    return SymPoly(uv_symbols(m, n), _unpacked(window, m + n, width), _checked=True)
 
 
 # -- concrete degree-N forms and rational expressions -----------------------------------

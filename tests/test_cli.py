@@ -273,6 +273,14 @@ def test_exact_division_error_maps_to_exit_1(monkeypatch, capsys):
     assert "computation failed" in err
 
 
+def test_recursion_too_deep_is_one_line_computation_failure(capsys):
+    code, out, err = run(capsys, "moment", "--key", "1500,1500,1,1")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("dtmoments: computation failed: ")
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_repeated_runs_are_byte_identical(capsys):

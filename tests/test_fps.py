@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,7 @@ from dtmoments.fps import (
     odot_many_direct,
     qseries_mul,
 )
-from conftest import ZW1, ZW2, random_fractions, random_theta_series
+from conftest import ZW1, ZW2, ZW3, random_fractions, random_theta_series
 
 
 # -- registry and construction -------------------------------------------------
@@ -308,6 +309,59 @@ def test_json_round_trip_is_exact():
     for _ in range(10):
         f = random_theta_series(ZW2, 10, rng)
         assert Series.from_json_dict(f.to_json_dict()) == f
+    # seeded round trips through JSON text, over several registries and
+    # both coefficient kinds
+    plain = VariableRegistry(("x", "y", "z"), 1)
+    for seed in range(40):
+        rng = random.Random(seed)
+        registry = (ZW1, ZW2, ZW3, plain)[seed % 4]
+        trunc = rng.randrange(0, 9)
+        f = random_theta_series(registry, trunc, rng, fractional=seed % 3 != 0)
+        g = Series.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
+        assert g == f and g.trunc == f.trunc and g.registry == f.registry, seed
+
+
+def _good_json():
+    return {"vars": ["z1", "w1"], "N": 2, "D": 4, "terms": [
+        {"exps": [0, 0], "num": 1, "den": 1},
+        {"exps": [1, 1], "num": -2, "den": 3},
+    ]}
+
+
+def _broken(edit):
+    data = _good_json()
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "JSON object"),
+        (_broken(lambda d: d.pop("vars")), "missing field 'vars'"),
+        (_broken(lambda d: d.pop("D")), "missing field 'D'"),
+        (_broken(lambda d: d.pop("terms")), "missing field 'terms'"),
+        (_broken(lambda d: d.update(vars="z1 w1")), "field 'vars'"),
+        (_broken(lambda d: d.update(vars=["z1", "z1"])), "distinct"),
+        (_broken(lambda d: d.update(N="2")), "field 'N'"),
+        (_broken(lambda d: d.update(D=4.0)), "field 'D'"),
+        (_broken(lambda d: d.update(D=-2)), "field 'D'"),
+        (_broken(lambda d: d.update(terms={})), "field 'terms'"),
+        (_broken(lambda d: d["terms"].append(7)), "term 2"),
+        (_broken(lambda d: d["terms"][1].pop("den")), "term 1: missing field 'den'"),
+        (_broken(lambda d: d["terms"][0].pop("exps")), "term 0: missing field 'exps'"),
+        (_broken(lambda d: d["terms"][1].update(den=0)), "term 1: zero denominator"),
+        (_broken(lambda d: d["terms"][1].update(num=1.5)), "term 1: 'num'"),
+        (_broken(lambda d: d["terms"][1].update(den=True)), "term 1: 'den'"),
+        (_broken(lambda d: d["terms"][0].update(exps=[0, 0, 0])), "term 0: 'exps'"),
+        (_broken(lambda d: d["terms"][1].update(exps=[2, -1])), "term 1: negative exponent"),
+        (_broken(lambda d: d["terms"][1].update(exps=[1, "1"])), "term 1: exponent"),
+        (_broken(lambda d: d["terms"][1].update(exps=[1, 0])), "term 1: degree 1"),
+    ],
+)
+def test_json_malformed_input_is_a_value_error(data, message):
+    with pytest.raises(ValueError, match=message):
+        Series.from_json_dict(data)
 
 
 def test_text_format_shape():

@@ -13,6 +13,9 @@ from dtmoments.ratfun import (
     RationalTerm,
     SymPoly,
     _div_linear,
+    _pmono,
+    _unpacked,
+    _width,
     expand_to_series,
     form_id,
     identity_form,
@@ -58,12 +61,39 @@ def test_sympoly_with_symbols_can_merge():
 
 
 def test_exact_division_helper_detects_remainders():
-    # (u1 - u2) divides u1^2 - u2^2 but not u1^2 + u2^2
-    syms = ("u1", "u2")
-    ok = _div_linear({(2, 0): 1, (0, 2): -1}, 0, {(0, 1): -1}, 1)
-    assert ok == {(1, 0): 1, (0, 1): 1}
+    # (u1 - u2) divides u1^2 - u2^2 but not u1^2 + u2^2; monomials are
+    # packed ints, u1 in the low 2-bit field and u2 in the next one
+    w = 2
+    u1, u2 = _pmono(w, 0), _pmono(w, 1)
+    ok = _div_linear({_pmono(w, 0, 2): 1, _pmono(w, 1, 2): -1}, w, 0, {u2: -1}, 1)
+    assert ok == {u1: 1, u2: 1}
+    assert _unpacked(ok, 2, w) == {(1, 0): 1, (0, 1): 1}
     with pytest.raises(ExactDivisionError):
-        _div_linear({(2, 0): 1, (0, 2): 1}, 0, {(0, 1): -1}, 1)
+        _div_linear({_pmono(w, 0, 2): 1, _pmono(w, 1, 2): 1}, w, 0, {u2: -1}, 1)
+
+
+def test_exact_division_by_a_variable_difference_leaves_a_remainder():
+    # u1^2 - u2 u3 = (u1 - u2)(u1 + u2) + u2^2 - u2 u3: the quotient's
+    # pushes leave u2^2 - u2 u3 in bucket 0
+    w = 2
+    u2, u3 = _pmono(w, 1), _pmono(w, 2)
+    with pytest.raises(ExactDivisionError):
+        _div_linear({_pmono(w, 0, 2): 1, u2 + u3: -1}, w, 0, {u2: -1}, 1)
+    # with u2 u3 replaced by u2^2 the same division is exact
+    exact = _div_linear({_pmono(w, 0, 2): 1, _pmono(w, 1, 2): -1}, w, 0, {u2: -1}, 1)
+    assert exact == {_pmono(w, 0): 1, u2: 1}
+
+
+def test_packed_exponent_overflow_raises_instead_of_wrapping():
+    # a 2-bit field holds 0..3; 4 would carry into the next variable's field
+    assert _pmono(2, 0, 3) == 3
+    assert _pmono(2, 1, 1) == 4
+    with pytest.raises(OverflowError):
+        _pmono(2, 0, 4)
+    with pytest.raises(OverflowError):
+        _pmono(2, 1, -1)
+    # the width rule: the fewest bits that hold every exponent up to the bound
+    assert [_width(bound) for bound in (0, 1, 3, 4, 18)] == [1, 1, 2, 3, 5]
 
 
 # -- the universal numerator polynomials -------------------------------------------
@@ -175,12 +205,21 @@ def test_q_and_p_degree_bounds_small_range():
     for m in range(1, 4):
         for n in range(1, 4):
             vd_deg = math.comb(m, 2) + math.comb(n, 2)
+            syms = uv_symbols(m, n)
+            vandermonde = SymPoly.one(syms)
+            for block in (syms[:m], syms[m:]):
+                for a, b in combinations(block, 2):
+                    vandermonde = vandermonde * (
+                        SymPoly.symbol(syms, a) - SymPoly.symbol(syms, b)
+                    )
             for k in range(m):
                 for l in range(n):
                     q = q_polynomial(m, n, k, l)
                     p = p_polynomial(m, n, k, l)
                     assert q.degree() <= (m * n - k - l - 1) + vd_deg
                     assert p.degree() <= m * n - k - l - 1
+                    # the defining fact: P * prod(u_p - u_q) * prod(v_r - v_s) = Q
+                    assert p * vandermonde == q, (m, n, k, l)
 
 
 def test_p_swap_symmetry_small_range():
