@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 Exponents = tuple[int, ...]
 
@@ -362,9 +361,12 @@ class Series:
 
     @classmethod
     def from_text(cls, text: str) -> "Series":
+        """Inverse of to_text.  Headers must precede the term lines; a
+        malformed line raises ValueError naming its 1-based line number."""
         names: tuple[str, ...] | None = None
         modulus = 2
         trunc: int | None = None
+        registry: VariableRegistry | None = None  # fixed by the first term line
         terms: dict[Exponents, object] = {}
 
         def integer(token: str, what: str, lineno: int) -> int:
@@ -379,6 +381,8 @@ class Series:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
+                if registry is not None and body.startswith(("vars:", "N:", "D:")):
+                    raise ValueError(f"line {lineno}: header {line!r} after a term line")
                 if body.startswith("vars:"):
                     names = tuple(body[5:].split())
                 elif body.startswith("N:"):
@@ -386,8 +390,10 @@ class Series:
                 elif body.startswith("D:"):
                     trunc = integer(body[2:].strip(), "degree bound", lineno)
                 continue
-            if names is None or trunc is None:
-                raise ValueError(f"line {lineno}: term line before '# vars:'/'# D:' headers")
+            if registry is None:
+                if names is None or trunc is None:
+                    raise ValueError(f"line {lineno}: term line before '# vars:'/'# D:' headers")
+                registry = VariableRegistry(names, modulus)
             parts = line.split()
             num_s, _, den_s = parts[0].partition("/")
             num = integer(num_s, "coefficient numerator", lineno)
@@ -396,19 +402,27 @@ class Series:
                 raise ValueError(f"line {lineno}: zero denominator in {parts[0]!r}")
             coeff = Fraction(num, den)
             exps = [0] * len(names)
+            seen = set()
             for tok in parts[1:]:
                 name, _, pow_s = tok.partition("^")
                 if name not in names:
                     raise ValueError(f"line {lineno}: unknown variable {name!r}")
+                if name in seen:
+                    raise ValueError(f"line {lineno}: variable {name!r} repeated")
+                seen.add(name)
                 exp = integer(pow_s, "exponent", lineno) if pow_s else 1
                 if exp < 0:
                     raise ValueError(f"line {lineno}: negative exponent in {tok!r}")
                 exps[names.index(name)] = exp
+            if sum(exps) % modulus:
+                raise ValueError(
+                    f"line {lineno}: degree {sum(exps)} is not a multiple of N = {modulus}"
+                )
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
         if names is None or trunc is None:
             raise ValueError("missing '# vars:' or '# D:' header")
-        return cls(VariableRegistry(names, modulus), trunc, terms)
+        return cls(registry or VariableRegistry(names, modulus), trunc, terms)
 
     def to_json_dict(self) -> dict:
         terms = []
@@ -468,14 +482,6 @@ class Series:
 # -- free functions over Series ---------------------------------------------------
 
 
-def homogeneous_part(f: Series, k: int) -> Series:
-    return f.homogeneous_part(k)
-
-
-def odot(f: Series, g: Series) -> Series:
-    return f.odot(g)
-
-
 def odot_many(fs) -> Series:
     """Graded product of several series, folded left to right."""
     fs = list(fs)
@@ -485,44 +491,6 @@ def odot_many(fs) -> Series:
     for f in fs[1:]:
         acc = acc.odot(f)
     return acc
-
-
-def odot_many_direct(fs) -> Series:
-    """Graded product by the direct multinomial formula.
-
-    Slower than the fold; kept as an independent route so the two can be
-    compared term by term.
-    """
-    fs = list(fs)
-    if not fs:
-        raise ValueError("odot_many_direct needs at least one operand")
-    registry = fs[0].registry
-    for f in fs[1:]:
-        fs[0]._require_same(f)
-    N = registry.modulus
-    D = min(f.trunc for f in fs)
-    out: dict[Exponents, object] = {}
-    term_lists = [
-        [(e, sum(e), c) for e, c in f.terms.items() if sum(e) <= D] for f in fs
-    ]
-    for combo in product(*term_lists):
-        total = sum(t[1] for t in combo)
-        if total > D:
-            continue
-        levels = [t[1] // N for t in combo]
-        w = math.factorial(sum(levels))
-        for lv in levels:
-            w //= math.factorial(lv)
-        coeff = w
-        for t in combo:
-            coeff = coeff * t[2]
-        key = tuple(sum(es) for es in zip(*(t[0] for t in combo)))
-        v = out.get(key, 0) + coeff
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    return Series(registry, D, out, _checked=True)
 
 
 def geometric(form: Series, trunc: int) -> Series:
@@ -602,9 +570,25 @@ class QSeries:
         return f"QSeries(order={self.order}, parts={sorted(self.parts)})"
 
     def __mul__(self, other):
+        """Cauchy product in q; the x-side products truncate as usual."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        return qseries_mul(self, other)
+        if self.registry != other.registry:
+            raise RegistryMismatch("operands live over different variable registries")
+        trunc = min(self.trunc, other.trunc)
+        order = min(self.order, other.order)
+        parts: dict[int, Series] = {}
+        for i, pa in self.parts.items():
+            for j, pb in other.parts.items():
+                r = i + j
+                if r > order or r * self.registry.modulus > trunc:
+                    continue
+                prod = pa.with_trunc(trunc) * pb.with_trunc(trunc)
+                if prod.is_zero():
+                    continue
+                parts[r] = parts[r] + prod if r in parts else prod
+        parts = {k: p for k, p in parts.items() if not p.is_zero()}
+        return QSeries(self.registry, trunc, order, parts, _checked=True)
 
     def to_text(self) -> str:
         lines = []
@@ -646,23 +630,3 @@ def e_inverse(h: QSeries) -> Series:
     for k, part in h.parts.items():
         acc = acc + part.scale(math.factorial(k))
     return acc
-
-
-def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product in q; the x-side products truncate as usual."""
-    if a.registry != b.registry:
-        raise RegistryMismatch("operands live over different variable registries")
-    trunc = min(a.trunc, b.trunc)
-    order = min(a.order, b.order)
-    parts: dict[int, Series] = {}
-    for i, pa in a.parts.items():
-        for j, pb in b.parts.items():
-            r = i + j
-            if r > order or r * a.registry.modulus > trunc:
-                continue
-            prod = pa.with_trunc(trunc) * pb.with_trunc(trunc)
-            if prod.is_zero():
-                continue
-            parts[r] = parts[r] + prod if r in parts else prod
-    parts = {k: p for k, p in parts.items() if not p.is_zero()}
-    return QSeries(a.registry, trunc, order, parts, _checked=True)

@@ -15,24 +15,16 @@ from itertools import combinations, product
 
 from .fps import Series, VariableRegistry, geometric, odot_many
 from .moments import multinomial, n_value
-from .ratfun import (
-    RationalExpr,
-    expand_to_series,
-    identity_form,
-    odot_closed,
-)
+from .ratfun import RationalExpr, identity_form, odot_closed
 
 __all__ = [
     "DiagonalSeries",
-    "GenFunResult",
-    "build_genfun",
     "check_conjecture",
     "check_n3_identity",
     "f_rational",
     "f_series",
     "g_diagonal",
     "h_diagonal",
-    "recursion_residual",
 ]
 
 
@@ -110,16 +102,6 @@ def _series_rhs(n: int, D: int) -> Series:
     return total
 
 
-def recursion_residual(n: int, D: int) -> Series:
-    """(1 - z1w1 - ... - znwn) * f_series minus the assembled right-hand
-    side; zero up to degree D when the recursion is implemented faithfully."""
-    if n < 2:
-        raise ValueError("the recursion only constrains n >= 2")
-    registry = _registry(n)
-    lhs_factor = Series.one(registry, D) - identity_form(registry).with_trunc(D)
-    return lhs_factor * f_series(n, D) - _series_rhs(n, D)
-
-
 def _rational_factor(registry, pairs, prefix) -> RationalExpr:
     if len(pairs) == 1:
         x, y = pairs[0]
@@ -155,27 +137,7 @@ def f_rational(n: int) -> RationalExpr:
     return acc.with_denominator(identity_form(registry))
 
 
-# -- results and diagonals ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GenFunResult:
-    """A computed generating function; the series view is always populated,
-    the rational view only in rational mode."""
-
-    n: int
-    mode: str
-    series: Series
-    rational: RationalExpr | None = None
-
-
-def build_genfun(n: int, D: int, mode: str = "series") -> GenFunResult:
-    if mode == "series":
-        return GenFunResult(n, "series", f_series(n, D))
-    if mode == "rational":
-        rat = f_rational(n)
-        return GenFunResult(n, "rational", expand_to_series(rat, D), rat)
-    raise ValueError(f"unknown mode {mode!r}")
+# -- diagonals ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -112,18 +112,15 @@ def canonical_key(key) -> tuple:
 class MomentEngine:
     """Memoized evaluator for the moment recursion.
 
-    By default memo keys are canonicalized, so one cached value serves a
-    whole symmetry orbit; ``canonical=False`` memoizes raw keys instead
-    (kept as an independently testable route).  ``memo_limit`` caps the
-    number of stored entries; past the cap new values are still computed,
-    just not retained.  Lookups are pure, so concurrent use is safe at
-    worst at the price of duplicate work.
+    Memo keys are canonicalized, so one cached value serves a whole
+    symmetry orbit.  ``memo_limit`` caps the number of stored entries; past
+    the cap new values are still computed, just not retained.  Lookups are
+    pure, so concurrent use is safe at worst at the price of duplicate work.
     """
 
-    def __init__(self, canonical: bool = True, memo_limit: int | None = None):
+    def __init__(self, memo_limit: int | None = None):
         if memo_limit is not None and memo_limit < 0:
             raise ValueError("memo_limit must be None or >= 0")
-        self.canonical = bool(canonical)
         self.memo_limit = memo_limit
         self._memo: dict[tuple, int] = {}
 
@@ -152,7 +149,7 @@ class MomentEngine:
             return 0
         if sum(key[0::2]) != sum(key[1::2]):
             return 0
-        mk = canonical_key(key) if self.canonical else key
+        mk = canonical_key(key)
         if len(mk) == 2:
             return 1 if mk[0] == mk[1] else 0
         hit = self._memo.get(mk)

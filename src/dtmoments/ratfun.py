@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .fps import Series, VariableRegistry, _norm_coeff, geometric
 
@@ -28,14 +27,14 @@ class DistinctnessViolation(ValueError):
 
 # -- packed polynomial kernel -------------------------------------------------------
 #
-# Building Q and dividing it down to P runs on plain {monomial: int} dicts
-# whose monomials are packed ints.  Layout: the exponent of variable i sits
+# Building P runs on plain {monomial: int} dicts whose monomials are packed
+# ints.  Layout: the exponent of variable i sits
 # in the bit field [i*width, (i+1)*width), so a monomial product is one
 # integer addition and an exponent is read with a shift and a mask.
 #
 # Width rule: a computation takes its width from a bound on the total degree
 # of every polynomial it builds; _width(bound) bits hold 0..bound (_p_width
-# and _q_width give the bounds of P and Q).  A total degree bounds every
+# gives the bound of P).  A total degree bounds every
 # single exponent, so while the bound holds no product or sum carries from
 # one field into the next.
 #
@@ -116,32 +115,33 @@ def _swapped(terms: dict, width: int, a: int, b: int) -> dict:
     return {e + (((e >> sb) & mask) - ((e >> sa) & mask)) * delta: c for e, c in terms.items()}
 
 
-def _div_linear(terms: dict, width: int, main: int, c0: dict, c1: int) -> dict:
-    """Exact division by c1*x_main + c0 with c0 free of x_main, c1 = +-1.
+def _div_linear(terms: dict, width: int, main: int, other: int) -> dict:
+    """Exact division by x_main - x_other.
 
     Synthetic division on buckets: the dividend is split once by its degree
     in x_main, then the buckets are walked from the top degree down.  Bucket
-    d, once the higher buckets have pushed into it, divided by c1*x_main is
-    the quotient's part of degree d-1 in x_main; that part times c0 is
-    subtracted from bucket d-1.  What is left in bucket 0 is the remainder,
-    and a nonzero remainder raises ExactDivisionError.
+    d, once the higher buckets have pushed into it, divided by x_main is the
+    quotient's part of degree d-1 in x_main; that part times x_other is
+    added to bucket d-1.  What is left in bucket 0 is the remainder, and a
+    nonzero remainder raises ExactDivisionError.
     """
     shift = width * main
     unit = 1 << shift
+    other_unit = 1 << (width * other)
     mask = (1 << width) - 1
     buckets: list = [{} for _ in range(mask + 1)]
     for e, c in terms.items():
         buckets[(e >> shift) & mask][e] = c
     quot: dict = {}
     for d in range(mask, 0, -1):
-        part = {e - unit: c * c1 for e, c in buckets[d].items() if c}
         lower = buckets[d - 1]
         get = lower.get
-        for e0, v0 in c0.items():
-            for e, c in part.items():
-                key = e + e0
-                lower[key] = get(key, 0) - c * v0
-        quot.update(part)
+        for e, c in buckets[d].items():
+            if c:
+                q = e - unit
+                quot[q] = c
+                key = q + other_unit
+                lower[key] = get(key, 0) + c
     if any(buckets[0].values()):
         raise ExactDivisionError("division expected to be exact left a remainder")
     return quot
@@ -273,14 +273,6 @@ class SymPoly:
             return self * other
         return NotImplemented
 
-    def times_monomial(self, exps, coeff=1) -> "SymPoly":
-        exps = tuple(exps)
-        out = {
-            tuple(x + y for x, y in zip(e, exps)): c * coeff
-            for e, c in self.terms.items()
-        }
-        return SymPoly(self.symbols, out, _checked=True)
-
     # -- structure --
 
     def restricted(self) -> "SymPoly":
@@ -388,68 +380,10 @@ def uv_symbols(m: int, n: int) -> tuple:
     )
 
 
-def _q_width(m: int, n: int) -> int:
-    # the product over all cells (degree mn) bounds every intermediate, and
-    # Q itself has degree <= mn - k - l - 1 + C(m,2) + C(n,2)
-    return _width(m * n + math.comb(m, 2) + math.comb(n, 2))
-
-
 def _p_width(m: int, n: int) -> int:
     # node values have degree K + L + (m-1)n, largest at k = l = 0, and the
     # Newton table only lowers degrees
     return _width((m - 1) * n + (m - 1) + (n - 1))
-
-
-def _diff_product(xs) -> dict:
-    """prod_{p<q} (x_p - x_q) over packed variables."""
-    prod = {0: 1}
-    for a, b in combinations(xs, 2):
-        prod = _pmul(prod, {a: 1, b: -1})
-    return prod
-
-
-@lru_cache(maxsize=None)
-def _q_basis(m: int, n: int) -> tuple:
-    """Per cell (i,j): the k,l-independent factor of the Q sum, namely
-    sign * prod_{(i',j') != (i,j)} (1 - u_i' - v_j')
-         * prod_{p<q, p,q != i} (u_p - u_q)
-         * prod_{r<s, r,s != j} (v_r - v_s),
-    packed with width _q_width(m, n).  The big product over all cells is
-    built once and each cell divides one trinomial back out.
-    """
-    width = _q_width(m, n)
-    us = [_pmono(width, i) for i in range(m)]
-    vs = [_pmono(width, m + j) for j in range(n)]
-    full = {0: 1}
-    for u in us:
-        for v in vs:
-            full = _pmul(full, {0: 1, u: -1, v: -1})
-    vd_u = [_diff_product(us[:i] + us[i + 1 :]) for i in range(m)]
-    vd_v = [_diff_product(vs[:j] + vs[j + 1 :]) for j in range(n)]
-    basis = []
-    for i in range(m):
-        for j in range(n):
-            cof = _div_linear(full, width, i, {0: 1, vs[j]: -1}, -1)
-            cell = _pmul(cof, _pmul(vd_u[i], vd_v[j]))
-            if (i + j) % 2:
-                cell = _pscale(cell, -1)
-            basis.append(cell)
-    return tuple(basis)
-
-
-def q_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
-    """The undivided numerator: the signed double sum over cells (i,j) with
-    cell powers u_i^{m-k-1} v_j^{n-l-1}."""
-    if not (0 <= k <= m - 1 and 0 <= l <= n - 1):
-        raise ValueError("need 0 <= k <= m-1 and 0 <= l <= n-1")
-    width = _q_width(m, n)
-    basis = _q_basis(m, n)
-    acc: dict = {}
-    for i in range(m):
-        for j in range(n):
-            shift = _pmono(width, i, m - k - 1) + _pmono(width, m + j, n - l - 1)
-            _padd_into(acc, {e + shift: c for e, c in basis[i * n + j].items()})
-    return SymPoly(uv_symbols(m, n), _unpacked(acc, m + n, width), _checked=True)
 
 
 @lru_cache(maxsize=None)
@@ -466,18 +400,23 @@ def _row_product(m: int, n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
-    """The closed-form product numerator, i.e. q_polynomial divided (exactly)
-    by both difference products prod_{p<q}(u_p-u_q) and prod_{r<s}(v_r-v_s).
+    """The closed-form product numerator: the signed double sum
 
-    Summing the defining double sum over each column in closed form first
+        Q = sum_{i,j} (-1)^(i+j) u_i^K v_j^L prod_{(i',j')!=(i,j)}(1 - u_i' - v_j')
+                  * prod_{p<q; p,q!=i}(u_p - u_q) * prod_{r<s; r,s!=j}(v_r - v_s)
+
+    divided exactly by both difference products prod_{p<q}(u_p-u_q) and
+    prod_{r<s}(v_r-v_s), with K = m-k-1, L = n-l-1.
+
+    Summing that double sum over each column in closed form first
     collapses the quotient to a single sum over rows,
 
         P = sum_i u_i^K (1-u_i)^L prod_{i'!=i, j}(1 - u_i' - v_j)
-                  / prod_{p!=i}(u_i - u_p),
+                  / prod_{p!=i}(u_i - u_p).
 
-    with K = m-k-1, L = n-l-1 (the column sum is a divided difference of
-    y^L/(1-x-y) over the v's, which kills the polynomial part of degree
-    <= n-2 and turns the pole into prod_j(1-x-v_j)).  The remaining row sum
+    The column sum is a divided difference of y^L/(1-x-y) over the v's,
+    which kills the polynomial part of degree <= n-2 and turns the pole
+    into prod_j(1-x-v_j).  The remaining row sum
     is the (m-1)-st divided difference D[0..m-1] over the u's of the node
     values N_i = u_i^K (1-u_i)^L prod_{i'!=i, j}(1 - u_i' - v_j), reached
     along the Newton recurrence
@@ -498,11 +437,10 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
     width = _p_width(m, n)
     weight = {_pmono(width, 0, K + t): (-1) ** t * math.comb(L, t) for t in range(L + 1)}
     window = _pmul(_row_product(m, n), weight)
-    u0 = {_pmono(width, 0): -1}
     for b in range(1, m):
         dividend = _swapped(window, width, 0, b)
         _padd_into(dividend, window, -1)
-        window = _div_linear(dividend, width, b, u0, 1)
+        window = _div_linear(dividend, width, b, 0)
     return SymPoly(uv_symbols(m, n), _unpacked(window, m + n, width), _checked=True)
 
 
@@ -882,8 +820,7 @@ def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
 
     Works term pair by term pair; every pair must satisfy the distinctness
     precondition (all sums u_i + v_j different), otherwise
-    DistinctnessViolation propagates and the caller can fall back to series
-    expansion.
+    DistinctnessViolation propagates to the caller.
     """
     if e1.registry != e2.registry:
         raise ValueError("operands live over different variable registries")
@@ -893,10 +830,6 @@ def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
         for t2 in e2.terms:
             terms.append(_odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2))
     return RationalExpr(e1.registry, table, RationalExpr._merged(terms))
-
-
-def expand_to_series(expr: RationalExpr, trunc: int) -> Series:
-    return expr.expand(trunc)
 
 
 def permutation_form(registry: VariableRegistry, sigma) -> Series:

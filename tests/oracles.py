@@ -1,0 +1,137 @@
+"""Reference routes the tests compare the package against.
+
+Each one computes a quantity the package computes, by a route that shares
+nothing with the code it checks beyond basic arithmetic: the undivided
+numerator Q by a direct sum of tuple-keyed SymPoly products, the moment
+recursion memoized on raw keys, and the graded product of several series
+by the direct multinomial formula.
+"""
+
+import math
+from functools import lru_cache
+from itertools import combinations, product
+
+from dtmoments.fps import Exponents, Series
+from dtmoments.moments import nom
+from dtmoments.ratfun import SymPoly, uv_symbols
+
+
+# -- the undivided numerator Q ------------------------------------------------------
+
+
+def _vandermonde(syms, block) -> SymPoly:
+    """prod_{p<q} (x_p - x_q) over the symbols in ``block``, in order."""
+    out = SymPoly.one(syms)
+    for a, b in combinations(block, 2):
+        out = out * (SymPoly.symbol(syms, a) - SymPoly.symbol(syms, b))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _q_cells(m: int, n: int) -> tuple:
+    """Per cell (i, j), row-major: the k,l-independent factor of Q,
+    (-1)^(i+j) prod_{(i',j') != (i,j)} (1 - u_i' - v_j') times the
+    difference products over the u's without u_i and the v's without v_j."""
+    syms = uv_symbols(m, n)
+    us, vs = syms[:m], syms[m:]
+    one = SymPoly.one(syms)
+    cells = []
+    for i, j in product(range(m), range(n)):
+        cell = one if (i + j) % 2 == 0 else -one
+        for i2, j2 in product(range(m), range(n)):
+            if (i2, j2) != (i, j):
+                cell = cell * (one - SymPoly.symbol(syms, us[i2]) - SymPoly.symbol(syms, vs[j2]))
+        cell = cell * _vandermonde(syms, us[:i] + us[i + 1 :])
+        cell = cell * _vandermonde(syms, vs[:j] + vs[j + 1 :])
+        cells.append(cell)
+    return tuple(cells)
+
+
+def q_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
+    """Q^{k,l}_{m,n}: the signed double sum over cells (i, j) of the cell
+    factor times u_i^(m-k-1) v_j^(n-l-1).  P^{k,l}_{m,n} times both
+    difference products prod_{p<q}(u_p - u_q) prod_{r<s}(v_r - v_s) is Q."""
+    if not (0 <= k <= m - 1 and 0 <= l <= n - 1):
+        raise ValueError("need 0 <= k <= m-1 and 0 <= l <= n-1")
+    syms = uv_symbols(m, n)
+    acc = SymPoly.zero(syms)
+    for (i, j), cell in zip(product(range(m), range(n)), _q_cells(m, n)):
+        e = [0] * (m + n)
+        e[i] = m - k - 1
+        e[m + j] = n - l - 1
+        acc = acc + cell * SymPoly(syms, {tuple(e): 1})
+    return acc
+
+
+# -- the moment recursion on raw keys -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def raw_n_value(key: tuple) -> int:
+    """N of a flat key by the moment recursion, memoized on the key as given:
+    no canonicalization, so a symmetry check run on it is not satisfied by
+    construction."""
+    if len(key) == 2:
+        return 1 if key[0] == key[1] else 0
+    if min(key) < 0 or sum(key[0::2]) != sum(key[1::2]):
+        return 0
+    n = len(key) // 2
+    ls = key[1::2]
+    total = 0
+    for r in range(1, n + 1):
+        for js in combinations(range(n), r):
+            j0, jr = js[0], js[-1]
+            prod = raw_n_value(
+                key[: 2 * j0] + (key[2 * j0] - 1, key[2 * jr + 1] - 1) + key[2 * jr + 2 :]
+            )
+            for a, b in zip(js, js[1:]):
+                if not prod:
+                    break
+                inner = list(key[2 * a + 1 : 2 * b + 1])
+                inner[0] -= 1
+                inner[-1] -= 1
+                prod *= raw_n_value(tuple(inner))
+            if prod:
+                total += nom(ls, tuple(j + 1 for j in js)) * prod
+    return total
+
+
+# -- the graded product of several series ----------------------------------------------
+
+
+def odot_many_direct(fs) -> Series:
+    """Graded product by the direct multinomial formula.
+
+    Slower than the fold; kept as an independent route so the two can be
+    compared term by term.
+    """
+    fs = list(fs)
+    if not fs:
+        raise ValueError("odot_many_direct needs at least one operand")
+    registry = fs[0].registry
+    for f in fs[1:]:
+        fs[0]._require_same(f)
+    N = registry.modulus
+    D = min(f.trunc for f in fs)
+    out: dict[Exponents, object] = {}
+    term_lists = [
+        [(e, sum(e), c) for e, c in f.terms.items() if sum(e) <= D] for f in fs
+    ]
+    for combo in product(*term_lists):
+        total = sum(t[1] for t in combo)
+        if total > D:
+            continue
+        levels = [t[1] // N for t in combo]
+        w = math.factorial(sum(levels))
+        for lv in levels:
+            w //= math.factorial(lv)
+        coeff = w
+        for t in combo:
+            coeff = coeff * t[2]
+        key = tuple(sum(es) for es in zip(*(t[0] for t in combo)))
+        v = out.get(key, 0) + coeff
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+    return Series(registry, D, out, _checked=True)

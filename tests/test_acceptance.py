@@ -17,12 +17,12 @@ from dtmoments.fps import (
     VariableRegistry,
     e_transform,
     geometric,
-    qseries_mul,
 )
 from dtmoments.genfun import check_conjecture, check_n3_identity, f_rational, f_series
 from dtmoments.moments import MomentEngine
-from dtmoments.ratfun import RationalExpr, expand_to_series, p_polynomial, uv_symbols
+from dtmoments.ratfun import RationalExpr, p_polynomial, uv_symbols
 from conftest import ZW2, ZW3, balanced_keys, random_theta_series
+from oracles import raw_n_value
 
 ZW4 = VariableRegistry.zw_pairs(4)
 
@@ -238,13 +238,13 @@ def test_acceptance_5_closed_form_fidelity():
         printed_f2 = RationalExpr.single(
             ZW2, (0,) * 4, 1, [zw_form(ZW2, *F2_FORMS[0]), zw_form(ZW2, *F2_FORMS[1])]
         )
-        assert expand_to_series(f_rational(2), 8) == expand_to_series(printed_f2, 8)
+        assert f_rational(2).expand(8) == printed_f2.expand(8)
 
         printed_f3 = _bracket_expr(ZW3, F3_FORMS, F3_BRACKET)
-        assert expand_to_series(f_rational(3), 8) == expand_to_series(printed_f3, 8)
+        assert f_rational(3).expand(8) == printed_f3.expand(8)
 
         printed_f4 = _bracket_expr(ZW4, F4_FORMS, F4_BRACKET)
-        assert expand_to_series(f_rational(4), 6) == expand_to_series(printed_f4, 6)
+        assert f_rational(4).expand(6) == printed_f4.expand(6)
         return True, (
             "closed forms match the published two/three-pair expressions to "
             "D = 8 and the four-pair expression to D = 6"
@@ -369,7 +369,7 @@ def test_acceptance_7_transform_homomorphism():
             f = random_theta_series(ZW2, trunc, rng)
             g = random_theta_series(ZW2, trunc, rng)
             lhs = e_transform(f.odot(g))
-            rhs = qseries_mul(e_transform(f), e_transform(g))
+            rhs = e_transform(f) * e_transform(g)
             assert lhs == rhs, trial
         return True, (
             "E(f (.) g) = (Ef)(Eg) on 200 random pairs, D <= 10 (seed 20260817)"
@@ -391,19 +391,19 @@ def _reverse(key):
 
 def test_acceptance_8_symmetry_suite():
     def body():
-        engine = MomentEngine(canonical=False)
+        # raw keys: a canonicalizing engine would satisfy these by construction
         rotations = reversals = contractions = 0
         for n in (1, 2, 3):
             for m in range(6):
                 for key in balanced_keys(n, m):
-                    base = engine.n_value(key)
-                    assert engine.n_value(_rotate(key)) == base, key
+                    base = raw_n_value(key)
+                    assert raw_n_value(_rotate(key)) == base, key
                     rotations += 1
-                    assert engine.n_value(_reverse(key)) == base, key
+                    assert raw_n_value(_reverse(key)) == base, key
                     reversals += 1
                     if n > 1 and key[0] == 0:
                         contracted = key[2:-1] + (key[-1] + key[1],)
-                        assert engine.n_value(contracted) == base, key
+                        assert raw_n_value(contracted) == base, key
                         contractions += 1
         return True, (
             f"rotation ({rotations}), reversal ({reversals}) and contraction "

@@ -160,6 +160,10 @@ MALFORMED_LINES = [
     ("1/2 z1^a w1", "not an integer"),
     ("1/2 z1^1.5 w1", "not an integer"),
     ("1/2 z1^-1 w1^3", "negative exponent"),
+    ("1 z1 w1 z1", "variable 'z1' repeated"),
+    ("1/2 z1^2 w1^0 w1", "variable 'w1' repeated"),
+    ("1/2 z1^2 w1", "degree 3 is not a multiple of N = 2"),
+    ("# D: 2", "after a term line"),
 ]
 
 

@@ -6,20 +6,16 @@ import pytest
 from dtmoments.fps import Series, VariableRegistry, geometric
 from dtmoments.genfun import (
     DiagonalSeries,
-    GenFunResult,
-    build_genfun,
     check_conjecture,
     check_n3_identity,
     f_rational,
     f_series,
     g_diagonal,
     h_diagonal,
-    recursion_residual,
 )
 from dtmoments.moments import MomentEngine, n_value
 from dtmoments.ratfun import (
     RationalExpr,
-    expand_to_series,
     form_id,
     identity_form,
     permutation_form,
@@ -74,9 +70,17 @@ def test_only_balanced_exponents_appear():
             assert sum(ks) == sum(ls)
 
 
-def test_recursion_residual_vanishes():
-    for n in (2, 3):
-        assert recursion_residual(n, 8).is_zero()
+def test_geometric_inverts_one_minus_the_form():
+    # f_series(n, D) is geometric(identity form) times the recursion's
+    # right-hand side, so the recursion holds exactly when geometric(u, D)
+    # inverts 1 - u up to degree D
+    D = 8
+    forms = [identity_form(ZW2), identity_form(ZW3)]
+    forms += [permutation_form(ZW2, (1, 0))]
+    forms += [permutation_form(ZW3, s) for s in ((1, 2, 0), (2, 1, 0), (0, 2, 1))]
+    for u in forms:
+        one = Series.one(u.registry, D)
+        assert (one - u.with_trunc(D)) * geometric(u, D) == one, form_id(u)
 
 
 def test_bounds_are_validated():
@@ -86,8 +90,6 @@ def test_bounds_are_validated():
         f_series(2, -1)
     with pytest.raises(ValueError):
         f_rational(0)
-    with pytest.raises(ValueError):
-        recursion_residual(1, 4)
 
 
 # -- rational pipeline ----------------------------------------------------------------
@@ -95,7 +97,7 @@ def test_bounds_are_validated():
 
 def test_rational_expansion_matches_series():
     for n, D in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 8), (6, 6)):
-        assert expand_to_series(f_rational(n), D) == f_series(n, D)
+        assert f_rational(n).expand(D) == f_series(n, D)
 
 
 def test_rational_form_tables_are_keyed_by_form_id():
@@ -126,7 +128,7 @@ def test_printed_two_pair_form():
     u1 = zw_form(ZW2, (1, 1), (2, 2))
     u2 = zw_form(ZW2, (1, 2), (2, 1))
     printed = RationalExpr.single(ZW2, (0,) * 4, 1, [u1, u2])
-    assert expand_to_series(printed, 8) == f_series(2, 8)
+    assert printed.expand(8) == f_series(2, 8)
 
 
 def test_printed_three_pair_form():
@@ -149,7 +151,7 @@ def test_printed_three_pair_form():
         + RationalExpr.single(ZW3, pref(2, 3), 1, [u1, u2, u4])
         + RationalExpr.single(ZW3, pref(3, 1), 1, [u1, u2, u5])
     )
-    assert expand_to_series(printed, 8) == f_series(3, 8)
+    assert printed.expand(8) == f_series(3, 8)
 
 
 def test_rational_terms_stay_unmerged_and_within_factor_bound():
@@ -163,20 +165,10 @@ def test_rational_terms_stay_unmerged_and_within_factor_bound():
 def test_rational_five_pairs_has_distinct_sums():
     # the closed pipeline is only guaranteed by construction up to n=4;
     # at n=5 it happens to stay collision-free and consistent
-    assert expand_to_series(f_rational(5), 4) == f_series(5, 4)
+    assert f_rational(5).expand(4) == f_series(5, 4)
 
 
-# -- results and diagonals ---------------------------------------------------------
-
-
-def test_build_genfun_modes():
-    s = build_genfun(2, 6, "series")
-    assert isinstance(s, GenFunResult) and s.mode == "series" and s.rational is None
-    r = build_genfun(2, 6, "rational")
-    assert r.mode == "rational" and r.rational is not None
-    assert r.series == s.series
-    with pytest.raises(ValueError):
-        build_genfun(2, 6, "closed")
+# -- diagonals ---------------------------------------------------------------------
 
 
 def g2_formula(a, b):

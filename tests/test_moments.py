@@ -16,6 +16,7 @@ from dtmoments.moments import (
     validate_key,
 )
 from conftest import balanced_keys
+from oracles import raw_n_value
 
 
 # -- key plumbing -------------------------------------------------------------------
@@ -174,17 +175,16 @@ def test_symmetry_rotation_reversal_contraction():
 
 
 def test_raw_and_canonical_memoization_agree():
-    canonical = MomentEngine(canonical=True)
-    raw = MomentEngine(canonical=False)
+    canonical = MomentEngine()
     for n in (1, 2, 3):
         for m in range(5):
             for key in balanced_keys(n, m):
-                assert canonical.n_value(key) == raw.n_value(key)
+                assert canonical.n_value(key) == raw_n_value(key)
     rng = random.Random(71)
     for _ in range(20):
         n = rng.randrange(2, 5)
         key = tuple(rng.randrange(0, 4) for _ in range(2 * n))
-        assert canonical.n_value(key) == raw.n_value(key)
+        assert canonical.n_value(key) == raw_n_value(key)
 
 
 def test_values_are_nonnegative_integers():
