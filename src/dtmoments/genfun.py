@@ -94,12 +94,17 @@ def f_series(n: int, D: int) -> Series:
 
 def _series_rhs(n: int, D: int) -> Series:
     registry = _registry(n)
-    total = Series.zero(registry, D)
+    total = {}
     for factors in _split_factors(n):
-        total = total + odot_many(
-            _series_factor(registry, pairs, prefix, D) for pairs, prefix in factors
-        )
-    return total
+        part = odot_many(_series_factor(registry, pairs, prefix, D) for pairs, prefix in factors)
+        for e, c in part.terms.items():
+            v = total.get(e, 0) + c
+            if v:
+                total[e] = v
+            elif e in total:
+                del total[e]
+        del part  # free this part before the next one is built: it sets the peak memory
+    return Series(registry, D, total, _checked=True)
 
 
 def _rational_factor(registry, pairs, prefix) -> RationalExpr:

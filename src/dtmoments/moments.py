@@ -79,34 +79,46 @@ def nom(ls, js) -> int:
     return multinomial(blocks)
 
 
-def _rotations(key):
-    n = len(key)
-    for s in range(n):
-        yield key[s:] + key[:s]
-
-
 def dihedral_min(key) -> tuple:
     """Lexicographic minimum over all rotations of the key and of its
     reversal.  Rotating the flat tuple by one entry swaps the T*/T roles;
-    both operations preserve the moment value."""
+    both operations preserve the moment value.  Only rotations that start
+    at a minimum entry are formed."""
     key = tuple(key)
-    rev = key[::-1]
-    return min(min(_rotations(key)), min(_rotations(rev)))
+    n = len(key)
+    lo = min(key)
+    kk = key + key
+    rr = kk[::-1]
+    return min(
+        [kk[s : s + n] for s in range(n) if kk[s] == lo]
+        + [rr[s : s + n] for s in range(n) if rr[s] == lo]
+    )
+
+
+def _canonical(key: tuple) -> tuple:
+    """canonical_key without the validation, for keys known to be valid
+    and nonnegative."""
+    while len(key) > 2 and 0 in key:
+        s = key.index(0)
+        if s:
+            key = key[s:] + key[:s]
+        # the leading zero goes and its two neighbours merge
+        key = key[2:-1] + (key[-1] + key[1],)
+    return dihedral_min(key)
 
 
 def canonical_key(key) -> tuple:
-    """A canonical orbit representative under rotation and reversal, with
-    leading zero entries contracted away (a zero block merges its two
-    neighbours).  Value-preserving: n_value(key) == n_value(canonical_key(key))."""
+    """A canonical orbit representative under rotation and reversal.
+
+    Every zero entry is contracted first (a zero block merges its two
+    neighbours into one entry) until no zero is left or two entries
+    remain; then the least rotation of the key or of its reversal is
+    taken.  Value-preserving: n_value(key) == n_value(canonical_key(key)).
+    """
     key = validate_key(key)
     if min(key) < 0:
         raise ValueError("canonical_key needs nonnegative entries")
-    while True:
-        key = dihedral_min(key)
-        if len(key) > 2 and key[0] == 0:
-            key = key[2:-1] + (key[-1] + key[1],)
-            continue
-        return key
+    return _canonical(key)
 
 
 class MomentEngine:
@@ -116,6 +128,12 @@ class MomentEngine:
     symmetry orbit.  ``memo_limit`` caps the number of stored entries; past
     the cap new values are still computed, just not retained.  Lookups are
     pure, so concurrent use is safe at worst at the price of duplicate work.
+
+    The recursion takes one stack frame per level, and each level removes
+    one T* and one T, so the depth grows with the key's entries: keys whose
+    largest entries are near 1000 exceed the interpreter's default
+    recursion limit and raise RecursionError, which the CLI reports as a
+    one-line computation failure with exit code 1.
     """
 
     def __init__(self, memo_limit: int | None = None):
@@ -149,14 +167,17 @@ class MomentEngine:
             return 0
         if sum(key[0::2]) != sum(key[1::2]):
             return 0
-        mk = canonical_key(key)
+        mk = _canonical(key)
         if len(mk) == 2:
             return 1 if mk[0] == mk[1] else 0
         hit = self._memo.get(mk)
         if hit is not None:
             return hit
         n = len(mk) // 2
-        ls = mk[1::2]
+        pre = [0]  # prefix sums of the l-entries, for the split weights
+        for l in mk[1::2]:
+            pre.append(pre[-1] + l)
+        m = pre[-1]
         total = 0
         for r in range(1, n + 1):
             for js in combinations(range(n), r):
@@ -174,7 +195,15 @@ class MomentEngine:
                         break
                 if prod == 0:
                     continue
-                total += nom(ls, tuple(j + 1 for j in js)) * prod
+                # nom(l-entries, js + 1): the wrap-around block first, then
+                # the blocks between consecutive split positions
+                t = m - pre[jr] + pre[j0]
+                w = 1
+                for a, b in zip(js, js[1:]):
+                    p = pre[b] - pre[a]
+                    t += p
+                    w *= math.comb(t, p)
+                total += w * prod
         if self.memo_limit is None or len(self._memo) < self.memo_limit:
             self._memo[mk] = total
         return total

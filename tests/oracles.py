@@ -3,8 +3,9 @@
 Each one computes a quantity the package computes, by a route that shares
 nothing with the code it checks beyond basic arithmetic: the undivided
 numerator Q by a direct sum of tuple-keyed SymPoly products, the moment
-recursion memoized on raw keys, and the graded product of several series
-by the direct multinomial formula.
+recursion memoized on raw keys, the canonical moment key by brute force
+over every rotation, and the graded product of several series by the
+direct multinomial formula.
 """
 
 import math
@@ -94,6 +95,28 @@ def raw_n_value(key: tuple) -> int:
             if prod:
                 total += nom(ls, tuple(j + 1 for j in js)) * prod
     return total
+
+
+# -- the canonical moment key ---------------------------------------------------------
+
+
+def dihedral_min_by_rotation(key: tuple) -> tuple:
+    """The least of every rotation of the key and of its reversal."""
+    rev = key[::-1]
+    n = len(key)
+    return min([key[s:] + key[:s] for s in range(n)] + [rev[s:] + rev[:s] for s in range(n)])
+
+
+def canonical_key_by_rotation(key: tuple) -> tuple:
+    """The canonical key by brute force: the dihedral minimum of the key;
+    while that starts with a zero (and more than two entries remain), drop
+    the zero, merge its two neighbours into one entry and start over."""
+    while True:
+        key = dihedral_min_by_rotation(key)
+        if len(key) > 2 and key[0] == 0:
+            key = key[2:-1] + (key[-1] + key[1],)
+            continue
+        return key
 
 
 # -- the graded product of several series ----------------------------------------------

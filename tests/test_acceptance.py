@@ -125,6 +125,14 @@ def test_acceptance_3_two_pair_diagonal_closed_form():
     _run(3, body)
 
 
+def test_recursion_takes_one_frame_per_level():
+    # Each recursion level removes one T* and one T and takes one stack
+    # frame, so this key goes about 900 levels deep: below the
+    # interpreter's default limit of 1000, but not with two frames a level.
+    assert _g2_formula(900, 1) == 903
+    assert MomentEngine().n_value((900, 900, 1, 1)) == 903
+
+
 # ---------------------------------------------------------------- 4
 
 

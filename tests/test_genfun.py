@@ -53,8 +53,7 @@ def test_f2_anchor_coefficients():
 def test_series_coefficients_equal_recursion_values():
     # the two pipelines share no code beyond basic arithmetic
     engine = MomentEngine()
-    for n in (1, 2, 3):
-        D = 8
+    for n, D in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (6, 6), (7, 6)):
         fs = f_series(n, D)
         for m in range(D // 2 + 1):
             for key in balanced_keys(n, m):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,7 @@ from dtmoments.moments import (
     validate_key,
 )
 from conftest import balanced_keys
-from oracles import raw_n_value
+from oracles import canonical_key_by_rotation, dihedral_min_by_rotation, raw_n_value
 
 
 # -- key plumbing -------------------------------------------------------------------
@@ -132,6 +133,26 @@ def test_canonical_key_contracts_leading_zero():
     # (0, l1, k2, l2) reduces to the single pair (k2, l2 + l1)
     assert canonical_key((0, 1, 2, 2)) == canonical_key((2, 3))
     assert canonical_key((0, 0, 0, 0)) == (0, 0)
+
+
+def canonicalization_range():
+    """Every key of length <= 8 with entries 0..3, of length 10 with entries
+    0..2 and of length 12 with entries 0..1."""
+    for length, top in ((2, 3), (4, 3), (6, 3), (8, 3), (10, 2), (12, 1)):
+        yield from product(range(top + 1), repeat=length)
+
+
+def test_canonical_key_matches_rotation_oracle_exhaustively():
+    count = 0
+    for key in canonicalization_range():
+        assert canonical_key(key) == canonical_key_by_rotation(key), key
+        count += 1
+    assert count == 133_049
+
+
+def test_dihedral_min_matches_every_rotation():
+    for key in canonicalization_range():
+        assert dihedral_min(key) == dihedral_min_by_rotation(key), key
 
 
 def test_canonical_key_rejects_negatives():
