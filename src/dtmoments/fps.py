@@ -513,6 +513,167 @@ def geometric(form: Series, trunc: int) -> Series:
     return result
 
 
+# -- packed-exponent kernel ---------------------------------------------------------
+#
+# Whole pipelines (genfun.f_series, RationalExpr.expand) run on plain
+# {monomial: coefficient} dicts whose monomials are packed ints.  They pack
+# once on entry and unpack once on exit, so Series.terms stays tuple-keyed.
+#
+# Layout for `size` variables and a degree bound D: variable i sits in the
+# bit field [i*w, (i+1)*w) with w = _width(D), and the total degree sits in
+# a field on top, from bit size*w up.  A monomial product is one integer
+# addition (the degree fields add along) and a degree read is one shift.
+#
+# No field can wrap: every operation below forms a product only when its
+# total degree is <= D, and a total degree bounds every single exponent, so
+# each exponent field stays <= D < 2**w.
+
+
+def _width(bound: int) -> int:
+    """Bits per exponent field for polynomials of total degree <= bound."""
+    return max(1, bound.bit_length())
+
+
+def _padd_into(acc: dict, terms: dict, c=1) -> None:
+    """acc += c * terms in place, so a running sum is never copied.  It
+    never looks inside its keys, so it serves packed and tuple keys alike."""
+    for e, v in terms.items():
+        v = acc.get(e, 0) + v * c
+        if v:
+            acc[e] = v
+        elif e in acc:
+            del acc[e]
+
+
+class _Packing:
+    """The packed layout for ``size`` variables of total degree <= bound."""
+
+    __slots__ = ("width", "top", "shifts", "mask")
+
+    def __init__(self, size: int, bound: int):
+        self.width = _width(bound)
+        self.top = size * self.width
+        self.shifts = tuple(self.width * i for i in range(size))
+        self.mask = (1 << self.width) - 1
+
+    def mono(self, exps) -> int:
+        key = sum(exps) << self.top
+        for x, s in zip(exps, self.shifts):
+            key += x << s
+        return key
+
+    def pack(self, terms: dict, limit: int) -> dict:
+        """Tuple-keyed terms packed; terms of degree > limit are dropped."""
+        return {self.mono(e): c for e, c in terms.items() if sum(e) <= limit}
+
+    def unpack(self, terms: dict) -> dict:
+        mask, shifts = self.mask, self.shifts
+        return {tuple([(e >> s) & mask for s in shifts]): c for e, c in terms.items()}
+
+
+def _slices(terms: dict, top: int, limit: int) -> dict:
+    """degree -> the (monomial, coefficient) pairs of that degree <= limit."""
+    out: dict = {}
+    for e, c in terms.items():
+        d = e >> top
+        if d <= limit:
+            if d in out:
+                out[d].append((e, c))
+            else:
+                out[d] = [(e, c)]
+    return out
+
+
+def _pmul_trunc(a: dict, b: dict, top: int, limit: int, weight=None) -> dict:
+    """a * b without the terms of degree > limit.  With ``weight``, a term
+    pair of degrees (d1, d2) picks up the factor weight(d1, d2)."""
+    right = _slices(b, top, limit)
+    out: dict = {}
+    get = out.get
+    for d1, lterms in _slices(a, top, limit).items():
+        for d2, rterms in right.items():
+            if d1 + d2 > limit:
+                continue
+            w = 1 if weight is None else weight(d1, d2)
+            for e1, c1 in lterms:
+                c1 *= w
+                for e2, c2 in rterms:
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _podot(a: dict, b: dict, top: int, limit: int, modulus: int) -> dict:
+    """The graded product: a term pair of levels (k, l) = (d1/N, d2/N)
+    picks up C(k+l, k), read off the degree fields."""
+    def weight(d1, d2):
+        return math.comb((d1 + d2) // modulus, d1 // modulus)
+
+    return _pmul_trunc(a, b, top, limit, weight)
+
+
+def _premap(terms: dict, src: _Packing, dst: _Packing, where) -> dict:
+    """Send variable i of ``src`` to variable where[i] of ``dst``; both
+    layouts must share one field width.  Source variables that land on
+    consecutive target variables move together, as one masked block."""
+    runs = []  # [first source variable, first target variable, length]
+    for i, t in enumerate(where):
+        if runs and runs[-1][1] + runs[-1][2] == t:
+            runs[-1][2] += 1
+        else:
+            runs.append([i, t, 1])
+    width = src.width
+    moves = [(width * i, (1 << (width * k)) - 1, width * t) for i, t, k in runs]
+    top, dtop = src.top, dst.top
+    out = {}
+    for e, c in terms.items():
+        key = (e >> top) << dtop
+        for s, mask, t in moves:
+            key += ((e >> s) & mask) << t
+        out[key] = c
+    return out
+
+
+def _pshift(terms: dict, mono: int, top: int, limit: int) -> dict:
+    """Multiply by one packed monomial, dropping terms pushed past limit."""
+    room = limit - (mono >> top)
+    return {e + mono: c for e, c in terms.items() if e >> top <= room}
+
+
+def _pdiv_one_minus(f: dict, u: dict, top: int, limit: int) -> dict:
+    """f / (1 - u) truncated at degree limit; u must have no constant term.
+
+    The quotient r satisfies r = f + u*r, so slice by slice in degree
+    r_d = f_d + sum_t c_t * t * r_(d - deg t) over the terms c_t * t of u.
+    Every r_(d - deg t) is complete before r_d is built, and the work is
+    |r| * |u| rather than |f| * |1 + u + u^2 + ...|.
+    """
+    steps = [(t, c, t >> top) for t, c in u.items() if t >> top <= limit]
+    if any(dt == 0 for _, _, dt in steps):
+        raise ValueError("dividing by 1 - u needs u without a constant term")
+    r: dict = {}  # degree -> slice of the quotient
+    for e, c in f.items():
+        d = e >> top
+        if d <= limit:
+            r.setdefault(d, {})[e] = c
+    for d in range(min(r, default=limit + 1), limit + 1):
+        acc = r.get(d, {})
+        get = acc.get
+        for t, ct, dt in steps:
+            for e, c in r.get(d - dt, {}).items():
+                e += t
+                acc[e] = get(e, 0) + ct * c
+        acc = {e: c for e, c in acc.items() if c}
+        if acc:
+            r[d] = acc
+        else:
+            r.pop(d, None)
+    out: dict = {}
+    for part in r.values():
+        out.update(part)
+    return out
+
+
 # -- the q-side: exponential rearrangement ------------------------------------------
 
 

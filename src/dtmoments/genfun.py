@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .fps import Series, VariableRegistry, geometric, odot_many
+from .fps import (
+    Series,
+    VariableRegistry,
+    _Packing,
+    _padd_into,
+    _pdiv_one_minus,
+    _podot,
+    _premap,
+    _pshift,
+)
 from .moments import multinomial, n_value
 from .ratfun import RationalExpr, identity_form, odot_closed
 
@@ -66,45 +75,63 @@ def _split_factors(n: int):
             yield factors
 
 
-def _series_factor(registry, pairs, prefix, D: int) -> Series:
-    if len(pairs) == 1:
-        x, y = pairs[0]
-        return geometric(_pair_form(registry, x, y), D)
-    mapping = {}
-    for i, (x, y) in enumerate(pairs, start=1):
-        mapping[f"z{i}"] = x
-        mapping[f"w{i}"] = y
-    inner = f_series(len(pairs), D).rename(registry, mapping)
-    return inner.shift(_mono_exps(registry, prefix))
-
-
 @lru_cache(maxsize=None)
 def f_series(n: int, D: int) -> Series:
     """The moment generating function on n variable pairs, truncated at
-    total degree D.  Every coefficient equals the n_value of its key."""
+    total degree D.  Every coefficient equals the n_value of its key.
+
+    Runs on packed exponents (the fps kernel).  The lower orders F_1 ..
+    F_(n-1) are built packed, in a memo that lives for this one call, and
+    each order is its recursion's right-hand side divided by 1 - (identity
+    form) slice by slice in degree.  The tests check it against the direct
+    route, multiplication by ``geometric(identity form, D)``.
+    """
     if n < 1:
         raise ValueError("need at least one variable pair")
     if D < 0:
         raise ValueError("degree bound must be >= 0")
-    registry = _registry(n)
-    if n == 1:
-        return geometric(_pair_form(registry, "z1", "w1"), D)
-    return geometric(identity_form(registry), D) * _series_rhs(n, D)
+    terms = _packed_f(n, D, {})
+    return Series(_registry(n), D, _Packing(2 * n, D).unpack(terms), _checked=True)
 
 
-def _series_rhs(n: int, D: int) -> Series:
+def _packed_f(n: int, D: int, memo: dict) -> dict:
+    """F_n packed in the _Packing(2n, D) layout; lower orders go to ``memo``."""
+    if n not in memo:
+        registry = _registry(n)
+        packing = _Packing(2 * n, D)
+        if n == 1:
+            rhs = {0: 1}
+            form = _pair_form(registry, "z1", "w1")
+        else:
+            rhs = _packed_rhs(n, D, memo)
+            form = identity_form(registry)
+        memo[n] = _pdiv_one_minus(rhs, packing.pack(form.terms, D), packing.top, D)
+    return memo[n]
+
+
+def _packed_rhs(n: int, D: int, memo: dict) -> dict:
     registry = _registry(n)
-    total = {}
+    top = _Packing(2 * n, D).top
+    total: dict = {}
     for factors in _split_factors(n):
-        part = odot_many(_series_factor(registry, pairs, prefix, D) for pairs, prefix in factors)
-        for e, c in part.terms.items():
-            v = total.get(e, 0) + c
-            if v:
-                total[e] = v
-            elif e in total:
-                del total[e]
+        part = None
+        for pairs, prefix in factors:
+            factor = _packed_factor(registry, pairs, prefix, D, memo)
+            part = factor if part is None else _podot(part, factor, top, D, registry.modulus)
+        _padd_into(total, part)
         del part  # free this part before the next one is built: it sets the peak memory
-    return Series(registry, D, total, _checked=True)
+    return total
+
+
+def _packed_factor(registry, pairs, prefix, D: int, memo: dict) -> dict:
+    packing = _Packing(registry.size, D)
+    if len(pairs) == 1:
+        form = {packing.mono(_mono_exps(registry, pairs[0])): 1}
+        return _pdiv_one_minus({0: 1}, form, packing.top, D)
+    m = len(pairs)
+    where = [registry.index(name) for pair in pairs for name in pair]
+    inner = _premap(_packed_f(m, D, memo), _Packing(2 * m, D), packing, where)
+    return _pshift(inner, packing.mono(_mono_exps(registry, prefix)), packing.top, D)
 
 
 def _rational_factor(registry, pairs, prefix) -> RationalExpr:
@@ -125,7 +152,7 @@ def f_rational(n: int) -> RationalExpr:
     of monomial-prefixed fractions over products of (1 - permutation form).
 
     May raise DistinctnessViolation if some graded product hits colliding
-    denominator sums (not observed for n <= 6); series mode is unaffected.
+    denominator sums (not observed for n <= 7); series mode is unaffected.
     """
     if n < 1:
         raise ValueError("need at least one variable pair")

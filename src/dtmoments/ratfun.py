@@ -14,7 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fps import Series, VariableRegistry, _norm_coeff, geometric
+from .fps import (
+    Series,
+    VariableRegistry,
+    _norm_coeff,
+    _Packing,
+    _padd_into,
+    _pdiv_one_minus,
+    _pmul_trunc,
+    _pshift,
+    _width,
+)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -43,8 +53,9 @@ class DistinctnessViolation(ValueError):
 # its field.
 #
 # Results are unpacked to exponent tuples once, when the SymPoly is built
-# (_unpacked).  _padd, _padd_into and _pscale never look inside their keys,
-# so they also serve the tuple-keyed SymPoly and Series.
+# (_unpacked).  _padd and _pscale never look inside their keys, so they also
+# serve the tuple-keyed SymPoly.  The width rule (_width) and the in-place
+# accumulator (_padd_into) are shared with the series kernel in fps.
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -58,25 +69,10 @@ def _padd(a: dict, b: dict) -> dict:
     return out
 
 
-def _padd_into(acc: dict, terms: dict, c=1) -> None:
-    """acc += c * terms in place, so a running sum is never copied."""
-    for e, v in terms.items():
-        v = acc.get(e, 0) + v * c
-        if v:
-            acc[e] = v
-        elif e in acc:
-            del acc[e]
-
-
 def _pscale(a: dict, c) -> dict:
     if c == 0:
         return {}
     return {e: v * c for e, v in a.items()}
-
-
-def _width(bound: int) -> int:
-    """Bits per exponent field for polynomials of total degree <= bound."""
-    return max(1, bound.bit_length())
 
 
 def _pmono(width: int, idx: int, power: int = 1) -> int:
@@ -310,28 +306,6 @@ class SymPoly:
                 del out[key]
         return SymPoly(symbols, out, _checked=True)
 
-    def substitute_series(self, assignment: dict, registry: VariableRegistry, trunc: int) -> Series:
-        """Evaluate at concrete series, one per symbol, truncated at D."""
-        powers: dict[tuple[str, int], Series] = {}
-
-        def power(name: str, k: int) -> Series:
-            key = (name, k)
-            if key not in powers:
-                if k == 0:
-                    powers[key] = Series.one(registry, trunc)
-                else:
-                    powers[key] = power(name, k - 1) * assignment[name].with_trunc(trunc)
-            return powers[key]
-
-        acc: dict = {}
-        for e, c in self.terms.items():
-            term = Series.one(registry, trunc)
-            for name, x in zip(self.symbols, e):
-                if x:
-                    term = term * power(name, x)
-            _padd_into(acc, term.terms, c)
-        return Series(registry, trunc, acc, _checked=True)
-
     # -- rendering --
 
     def pretty(self, names=None) -> str:
@@ -561,7 +535,12 @@ class RationalExpr:
 
     __slots__ = ("registry", "table", "terms")
 
-    def __init__(self, registry: VariableRegistry, table: FormTable, terms):
+    def __init__(self, registry: VariableRegistry, table: FormTable, terms, _checked=False):
+        self.registry = registry
+        self.table = table
+        if _checked:
+            self.terms = tuple(terms)
+            return
         if table.registry != registry:
             raise ValueError("form table registry differs from the expression registry")
         for t in terms:
@@ -575,8 +554,6 @@ class RationalExpr:
             for s in t.numerator.symbols:
                 if s not in table:
                     raise ValueError(f"numerator symbol {s!r} missing from the form table")
-        self.registry = registry
-        self.table = table
         self.terms = tuple(terms)
 
     def __setattr__(self, name, value):
@@ -649,6 +626,7 @@ class RationalExpr:
             self.registry,
             self.table.merged(other.table),
             self._merged(list(self.terms) + list(other.terms)),
+            _checked=True,
         )
 
     def scale_prefix(self, exps) -> "RationalExpr":
@@ -669,7 +647,7 @@ class RationalExpr:
             RationalTerm(t.prefix, t.numerator, tuple(sorted(t.denominator + (fid,))))
             for t in self.terms
         ]
-        return RationalExpr(self.registry, table, terms)
+        return RationalExpr(self.registry, table, terms, _checked=True)
 
     def substitute(self, target: VariableRegistry, name_map: dict) -> "RationalExpr":
         """Rename variables into another registry; form ids are recomputed."""
@@ -687,27 +665,50 @@ class RationalExpr:
             num = t.numerator.with_symbols(new_syms, rename)
             den = tuple(sorted(rename[fid] for fid in t.denominator))
             terms.append(RationalTerm(tuple(prefix), num, den))
-        return RationalExpr(target, table, terms)
+        return RationalExpr(target, table, terms, _checked=True)
 
     # -- evaluation --
 
     def expand(self, trunc: int) -> Series:
+        """The expression as a series truncated at total degree ``trunc``.
+
+        Runs on packed exponents (the fps kernel): each numerator is
+        evaluated at the packed forms, divided by each denominator 1 - u
+        slice by slice in degree, and shifted by its prefix; the sum is
+        unpacked once at the end.  The tests check it against the direct
+        route, multiplication by ``geometric(u, D)``.
+        """
+        packing = _Packing(self.registry.size, trunc)
+        top = packing.top
+        forms = {fid: packing.pack(f.terms, trunc) for fid, f in self.table.forms.items()}
+        powers: dict = {}
+
+        def power(fid: str, k: int) -> dict:
+            if (fid, k) not in powers:
+                lower = {0: 1} if k == 1 else power(fid, k - 1)
+                powers[fid, k] = _pmul_trunc(lower, forms[fid], top, trunc)
+            return powers[fid, k]
+
         acc: dict = {}
         for t in self.terms:
             budget = trunc - sum(t.prefix)
             if budget < 0:
                 continue
-            part = t.numerator.substitute_series(
-                {s: self.table.get(s) for s in t.numerator.symbols},
-                self.registry,
-                budget,
-            )
+            # part may keep terms above the budget: the division by each
+            # 1 - u and the prefix shift drop them
+            part: dict = {}
+            for e, c in t.numerator.terms.items():
+                factors = [power(s, x) for s, x in zip(t.numerator.symbols, e) if x]
+                mono = factors[0] if factors else {0: 1}
+                for f in factors[1:]:
+                    mono = _pmul_trunc(mono, f, top, budget)
+                _padd_into(part, mono, c)
             for fid in t.denominator:
-                if part.is_zero():
+                if not part:
                     break
-                part = part * geometric(self.table.get(fid), budget)
-            _padd_into(acc, part.with_trunc(trunc).shift(t.prefix).terms)
-        return Series(self.registry, trunc, acc, _checked=True)
+                part = _pdiv_one_minus(part, forms[fid], top, budget)
+            _padd_into(acc, _pshift(part, packing.mono(t.prefix), top, trunc))
+        return Series(self.registry, trunc, packing.unpack(acc), _checked=True)
 
     # -- rendering --
 
@@ -829,7 +830,7 @@ def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
     for t1 in e1.terms:
         for t2 in e2.terms:
             terms.append(_odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2))
-    return RationalExpr(e1.registry, table, RationalExpr._merged(terms))
+    return RationalExpr(e1.registry, table, RationalExpr._merged(terms), _checked=True)
 
 
 def permutation_form(registry: VariableRegistry, sigma) -> Series:

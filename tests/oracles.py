@@ -4,17 +4,20 @@ Each one computes a quantity the package computes, by a route that shares
 nothing with the code it checks beyond basic arithmetic: the undivided
 numerator Q by a direct sum of tuple-keyed SymPoly products, the moment
 recursion memoized on raw keys, the canonical moment key by brute force
-over every rotation, and the graded product of several series by the
-direct multinomial formula.
+over every rotation, the graded product of several series by the direct
+multinomial formula, and the two series pipelines (F_n and the expansion
+of a rational expression) on tuple-keyed Series, multiplying by
+geometric(u, D) where the package divides packed terms by 1 - u.
 """
 
 import math
 from functools import lru_cache
 from itertools import combinations, product
 
-from dtmoments.fps import Exponents, Series
+from dtmoments.fps import Exponents, Series, VariableRegistry, geometric, odot_many
+from dtmoments.genfun import _split_factors
 from dtmoments.moments import nom
-from dtmoments.ratfun import SymPoly, uv_symbols
+from dtmoments.ratfun import SymPoly, identity_form, uv_symbols
 
 
 # -- the undivided numerator Q ------------------------------------------------------
@@ -158,3 +161,78 @@ def odot_many_direct(fs) -> Series:
         elif key in out:
             del out[key]
     return Series(registry, D, out, _checked=True)
+
+
+# -- the series pipelines by geometric series ------------------------------------------
+
+
+def _monomial(registry: VariableRegistry, names) -> Exponents:
+    e = [0] * registry.size
+    for name in names:
+        e[registry.index(name)] += 1
+    return tuple(e)
+
+
+def _accumulate(acc: dict, terms: dict, c=1) -> None:
+    for e, v in terms.items():
+        v = acc.get(e, 0) + v * c
+        if v:
+            acc[e] = v
+        elif e in acc:
+            del acc[e]
+
+
+@lru_cache(maxsize=None)
+def f_series_by_geometric(n: int, D: int) -> Series:
+    """F_n truncated at D by the recursion on tuple-keyed Series: each
+    lower-order factor is renamed into place and shifted by its prefix, the
+    factors of a term are multiplied by odot_many, and the summed right-hand
+    side is multiplied by geometric(identity form, D).  It shares only the
+    split blueprints (genfun._split_factors) with the package; the moment
+    recursion checks those independently."""
+    registry = VariableRegistry.zw_pairs(n)
+    if n == 1:
+        return geometric(Series(registry, 2, {(1, 1): 1}), D)
+    total: dict = {}
+    for factors in _split_factors(n):
+        series = []
+        for pairs, prefix in factors:
+            if len(pairs) == 1:
+                series.append(geometric(Series(registry, 2, {_monomial(registry, pairs[0]): 1}), D))
+                continue
+            mapping = {}
+            for i, (x, y) in enumerate(pairs, start=1):
+                mapping[f"z{i}"] = x
+                mapping[f"w{i}"] = y
+            inner = f_series_by_geometric(len(pairs), D).rename(registry, mapping)
+            series.append(inner.shift(_monomial(registry, prefix)))
+        _accumulate(total, odot_many(series).terms)
+    return geometric(identity_form(registry), D) * Series(registry, D, total)
+
+
+def _substitute(numerator: SymPoly, forms: dict, registry: VariableRegistry, D: int) -> Series:
+    """The numerator evaluated at concrete forms, one per symbol, truncated at D."""
+    acc: dict = {}
+    for e, c in numerator.terms.items():
+        term = Series.one(registry, D)
+        for name, x in zip(numerator.symbols, e):
+            for _ in range(x):
+                term = term * forms[name].with_trunc(D)
+        _accumulate(acc, term.terms, c)
+    return Series(registry, D, acc)
+
+
+def expand_by_geometric(expr, D: int) -> Series:
+    """A RationalExpr as a series truncated at D: per term, the numerator
+    substituted at the forms, times geometric(form, budget) for each
+    denominator form, shifted by the prefix."""
+    acc: dict = {}
+    for t in expr.terms:
+        budget = D - sum(t.prefix)
+        if budget < 0:
+            continue
+        part = _substitute(t.numerator, expr.table.forms, expr.registry, budget)
+        for fid in t.denominator:
+            part = part * geometric(expr.table.get(fid), budget)
+        _accumulate(acc, part.with_trunc(D).shift(t.prefix).terms)
+    return Series(expr.registry, D, acc)

@@ -56,6 +56,8 @@ TEST_ONLY = (
     "qseries_mul",
     "odot",
     "homogeneous_part",
+    "f_series_by_geometric",
+    "expand_by_geometric",
 )
 
 
@@ -78,5 +80,6 @@ def test_test_only_routes_stay_out_of_the_package():
         for module in (dtmoments, fps, moments, ratfun, genfun):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(ratfun.SymPoly, "times_monomial")
+    assert not hasattr(ratfun.SymPoly, "substitute_series")
     # the engine always canonicalizes; raw keys are the oracle's job
     assert list(inspect.signature(moments.MomentEngine).parameters) == ["memo_limit"]

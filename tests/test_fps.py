@@ -13,6 +13,10 @@ from dtmoments.fps import (
     VariableRegistry,
     e_inverse,
     e_transform,
+    _Packing,
+    _pdiv_one_minus,
+    _pmul_trunc,
+    _podot,
     geometric,
     odot_many,
 )
@@ -278,6 +282,65 @@ def test_with_trunc_drops_or_extends():
     f = Series(ZW1, 8, {(1, 1): 1, (3, 3): 2})
     assert f.with_trunc(4).terms == {(1, 1): 1}
     assert f.with_trunc(12).terms == f.terms
+
+
+# -- packed-exponent kernel ----------------------------------------------------------
+
+
+XY = VariableRegistry(("x", "y"), 1)
+
+
+def random_form(registry, rng, degrees):
+    """A form with no constant term, its degrees drawn from ``degrees``, with
+    non-unit and Fraction coefficients."""
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        exps = [0] * registry.size
+        for _ in range(rng.choice(degrees)):
+            exps[rng.randrange(registry.size)] += 1
+        terms[tuple(exps)] = rng.choice((1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
+    return Series(registry, max(degrees), terms)
+
+
+def packed_round_trip(registry, D, op, *operands):
+    """op on the packed operands, unpacked into a Series truncated at D."""
+    packing = _Packing(registry.size, D)
+    packed = [packing.pack(f.terms, D) for f in operands]
+    return Series(registry, D, packing.unpack(op(*packed, packing.top, D)), _checked=True)
+
+
+@pytest.mark.parametrize(
+    "registry, degrees", [(ZW1, (2,)), (ZW2, (2,)), (ZW3, (2,)), (XY, (1,)), (XY, (1, 2, 3))]
+)
+def test_packed_division_by_one_minus_u_matches_geometric(registry, degrees):
+    rng = random.Random(f"divide-{registry.size}-{degrees}")
+    for D in (0, 1, 2, 3, 7, 8, 15, 16):
+        for _ in range(4):
+            x = random_theta_series(registry, D, rng)
+            u = random_form(registry, rng, degrees)
+            got = packed_round_trip(registry, D, _pdiv_one_minus, x, u)
+            assert got == x * geometric(u, D), (D, x.terms, u.terms)
+
+
+def test_packed_division_rejects_a_constant_term():
+    packing = _Packing(2, 4)
+    with pytest.raises(ValueError):
+        _pdiv_one_minus({0: 1}, {0: 1}, packing.top, 4)
+
+
+@pytest.mark.parametrize("registry", [ZW1, ZW2, ZW3, XY])
+def test_packed_products_match_series_products(registry):
+    rng = random.Random(f"products-{registry.size}")
+
+    def odot(a, b, top, D):
+        return _podot(a, b, top, D, registry.modulus)
+
+    for D in (0, 2, 6, 15, 16):
+        for _ in range(4):
+            a = random_theta_series(registry, D, rng)
+            b = random_theta_series(registry, D, rng)
+            assert packed_round_trip(registry, D, _pmul_trunc, a, b) == a * b
+            assert packed_round_trip(registry, D, odot, a, b) == a.odot(b)
 
 
 # -- serialization -----------------------------------------------------------------

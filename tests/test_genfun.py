@@ -21,6 +21,7 @@ from dtmoments.ratfun import (
     permutation_form,
 )
 from conftest import ZW2, ZW3, balanced_keys
+from oracles import expand_by_geometric, f_series_by_geometric
 
 
 def zw_form(registry, *pairs):
@@ -82,6 +83,17 @@ def test_geometric_inverts_one_minus_the_form():
         assert (one - u.with_trunc(D)) * geometric(u, D) == one, form_id(u)
 
 
+# D = 15, 16, 31, 32 sit on both sides of a packed field-width step
+@pytest.mark.parametrize(
+    "n, D",
+    [(1, D) for D in (0, 1, 2, 15, 16, 31, 32)]
+    + [(2, D) for D in (2, 15, 16, 31, 32)]
+    + [(3, 6), (3, 7), (3, 10), (3, 14), (4, 6), (4, 8), (4, 10), (5, 6), (5, 8)],
+)
+def test_f_series_equals_the_geometric_route(n, D):
+    assert f_series(n, D) == f_series_by_geometric(n, D)
+
+
 def test_bounds_are_validated():
     with pytest.raises(ValueError):
         f_series(0, 4)
@@ -97,6 +109,14 @@ def test_bounds_are_validated():
 def test_rational_expansion_matches_series():
     for n, D in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 8), (6, 6)):
         assert f_rational(n).expand(D) == f_series(n, D)
+
+
+@pytest.mark.parametrize(
+    "n, D", [(n, D) for n in range(1, 6) for D in (6, 8, 10)] + [(3, 7), (6, 6)]
+)
+def test_expand_equals_the_geometric_route(n, D):
+    expr = f_rational(n)
+    assert expr.expand(D) == expand_by_geometric(expr, D)
 
 
 def test_rational_form_tables_are_keyed_by_form_id():

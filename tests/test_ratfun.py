@@ -24,7 +24,7 @@ from dtmoments.ratfun import (
     uv_symbols,
 )
 from conftest import ZW2, ZW3
-from oracles import q_polynomial
+from oracles import expand_by_geometric, q_polynomial
 
 
 def sp(m, n, data):
@@ -382,6 +382,34 @@ def test_with_denominator_appends_factor():
     expr = RationalExpr.geometric_term(ZW2, u).with_denominator(v)
     assert expr.terms[0].denominator == tuple(sorted([form_id(u), form_id(v)]))
     assert expr.expand(8) == geometric(u, 8) * geometric(v, 8)
+
+
+def test_expand_with_fractions_and_repeated_forms_equals_the_geometric_route():
+    u = Series(ZW2, 2, {(1, 1, 0, 0): 2, (0, 0, 1, 1): Fraction(-1, 3)})
+    v = permutation_form(ZW2, (1, 0))
+    fu, fv = form_id(u), form_id(v)
+    syms = tuple(sorted((fu, fv)))
+    numerator = SymPoly(syms, {(0, 0): Fraction(3, 2), (1, 0): -2, (1, 1): Fraction(1, 7)})
+    expr = RationalExpr.single(ZW2, (1, 0, 0, 1), numerator, [u, v, u])
+    expr = expr + RationalExpr.single(ZW2, (0, 0, 0, 0), Fraction(2, 5), [v, v])
+    for D in range(0, 10):
+        assert expr.expand(D) == expand_by_geometric(expr, D), D
+
+
+def test_public_constructor_validates_every_term():
+    good = RationalExpr.geometric_term(ZW2, identity_form(ZW2))
+    t = good.terms[0]
+    assert RationalExpr(ZW2, good.table, [t]) == good
+    bad = [
+        (RationalTerm((1, 0, 0), t.numerator, t.denominator), "prefix exponents"),
+        (RationalTerm((1, 0, 0, 0), t.numerator, t.denominator), "support constraint"),
+        (RationalTerm(t.prefix, t.numerator, ("z1w2+z2w1",)), "denominator id"),
+        (RationalTerm(t.prefix, SymPoly.symbol(("z1w2+z2w1",), "z1w2+z2w1"), t.denominator),
+         "numerator symbol"),
+    ]
+    for term, message in bad:
+        with pytest.raises(ValueError, match=message):
+            RationalExpr(ZW2, good.table, [term])
 
 
 def test_substitute_into_larger_registry():
