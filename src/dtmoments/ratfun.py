@@ -10,6 +10,7 @@ rational expressions back into truncated series.
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,7 +88,7 @@ def _unpacked(terms: dict, size: int, width: int) -> dict:
     """The same polynomial keyed by exponent tuples."""
     mask = (1 << width) - 1
     shifts = [width * i for i in range(size)]
-    return {tuple((e >> s) & mask for s in shifts): c for e, c in terms.items()}
+    return {tuple([(e >> s) & mask for s in shifts]): c for e, c in terms.items()}
 
 
 def _pmul(a: dict, b: dict) -> dict:
@@ -675,8 +676,11 @@ class RationalExpr:
         Runs on packed exponents (the fps kernel): each numerator is
         evaluated at the packed forms, divided by each denominator 1 - u
         slice by slice in degree, and shifted by its prefix; the sum is
-        unpacked once at the end.  The tests check it against the direct
-        route, multiplication by ``geometric(u, D)``.
+        unpacked once at the end.  A form that every term's denominator
+        holds (f_rational puts the identity form in all of them) divides
+        the summed parts once instead of each part: division by 1 - u is
+        linear and commutes with the prefix shift.  The tests check it
+        against the direct route, multiplication by ``geometric(u, D)``.
         """
         packing = _Packing(self.registry.size, trunc)
         top = packing.top
@@ -689,6 +693,9 @@ class RationalExpr:
                 powers[fid, k] = _pmul_trunc(lower, forms[fid], top, trunc)
             return powers[fid, k]
 
+        shared = Counter(self.terms[0].denominator) if self.terms else Counter()
+        for t in self.terms[1:]:
+            shared &= Counter(t.denominator)
         acc: dict = {}
         for t in self.terms:
             budget = trunc - sum(t.prefix)
@@ -703,11 +710,15 @@ class RationalExpr:
                 for f in factors[1:]:
                     mono = _pmul_trunc(mono, f, top, budget)
                 _padd_into(part, mono, c)
-            for fid in t.denominator:
+            for fid in (Counter(t.denominator) - shared).elements():
                 if not part:
                     break
                 part = _pdiv_one_minus(part, forms[fid], top, budget)
             _padd_into(acc, _pshift(part, packing.mono(t.prefix), top, trunc))
+        for fid in shared.elements():
+            if not acc:
+                break
+            acc = _pdiv_one_minus(acc, forms[fid], top, trunc)
         return Series(self.registry, trunc, packing.unpack(acc), _checked=True)
 
     # -- rendering --
@@ -757,17 +768,35 @@ class RationalExpr:
 # -- the closed product ------------------------------------------------------------------
 
 
-def _odot_pair(registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTerm) -> RationalTerm:
+def _odot_pair(
+    registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTerm, sums: dict
+) -> RationalTerm:
+    """One term pair of the closed product.
+
+    ``sums`` is the calling odot_closed's memo of pair sums, keyed by
+    (u_id, v_id) with value (form_id(u + v), u + v); it lives for that one
+    call, where the pair of ids fixes the sum.  The numerator is built on
+    one packed dict over the output symbols: each P^{k,l}_{m,n} piece is
+    renamed into the u/v positions once per (k_eff, l_eff), then every
+    numerator term pair adds its base monomial e1 + e2 to the piece's terms
+    and scales them by c1 * c2.
+    """
     m = len(t1.denominator)
     n = len(t2.denominator)
     if m == 0 or n == 0:
         raise ValueError("closed products need at least one denominator factor per side")
     N = registry.modulus
-    us = [forms1[fid] for fid in t1.denominator]
-    vs = [forms2[fid] for fid in t2.denominator]
-    sums = [[us[i] + vs[j] for j in range(n)] for i in range(m)]
-    sum_ids = [[form_id(sums[i][j]) for j in range(n)] for i in range(m)]
-    flat = [sum_ids[i][j] for i in range(m) for j in range(n)]
+    u_ids = t1.denominator
+    v_ids = t2.denominator
+    cells = []
+    for a in u_ids:
+        for b in v_ids:
+            cell = sums.get((a, b))
+            if cell is None:
+                s = forms1[a] + forms2[b]
+                cell = sums[a, b] = (form_id(s), s)
+            cells.append(cell)
+    flat = [fid for fid, _ in cells]
     if len(set(flat)) != m * n:
         seen: dict[str, int] = {}
         for fid in flat:
@@ -779,41 +808,51 @@ def _odot_pair(registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTe
 
     k_pref = sum(t1.prefix) // N
     l_pref = sum(t2.prefix) // N
-    u_ids = t1.denominator
-    v_ids = t2.denominator
-    out_syms = tuple(
-        sorted(
-            set(u_ids)
-            | set(v_ids)
-            | set(t1.numerator.symbols)
-            | set(t2.numerator.symbols)
-        )
-    )
-    acc = SymPoly.zero(out_syms)
-    for e1, c1 in t1.numerator.terms.items():
-        for e2, c2 in t2.numerator.terms.items():
-            k_eff = k_pref + sum(e1)
-            l_eff = l_pref + sum(e2)
+    num1 = t1.numerator
+    num2 = t2.numerator
+    out_syms = tuple(sorted(set(u_ids) | set(v_ids) | set(num1.symbols) | set(num2.symbols)))
+    # an output term has degree <= deg P + deg num1 + deg num2, and deg P
+    # is bounded as in _p_width
+    width = _width((m - 1) * n + m + n - 2 + num1.degree() + num2.degree())
+    shift = {s: width * i for i, s in enumerate(out_syms)}
+    uv_shifts = [shift[s] for s in u_ids + v_ids]
+
+    def packed(symbols, exps) -> int:
+        return sum(x << shift[s] for s, x in zip(symbols, exps))
+
+    right = [(sum(e2), packed(num2.symbols, e2), c2) for e2, c2 in num2.terms.items()]
+    pieces: dict = {}
+    acc: dict = {}
+    get = acc.get
+    for e1, c1 in num1.terms.items():
+        k_eff = k_pref + sum(e1)
+        b1 = packed(num1.symbols, e1)
+        for d2, b2, c2 in right:
+            l_eff = l_pref + d2
             if k_eff > m - 1 or l_eff > n - 1:
                 raise ValueError(
                     "closed product needs (prefix + numerator) shorter than the denominator"
                 )
-            p = p_polynomial(m, n, k_eff, l_eff)
-            rename = {f"u{i+1}": u_ids[i] for i in range(m)}
-            rename.update({f"v{j+1}": v_ids[j] for j in range(n)})
-            piece = p.with_symbols(out_syms, rename)
-            mono1 = SymPoly(t1.numerator.symbols, {e1: c1}, _checked=True).with_symbols(out_syms)
-            mono2 = SymPoly(t2.numerator.symbols, {e2: c2}, _checked=True).with_symbols(out_syms)
-            acc = acc + piece * mono1 * mono2
+            piece = pieces.get((k_eff, l_eff))
+            if piece is None:
+                piece = pieces[k_eff, l_eff] = [
+                    (sum(x << w for w, x in zip(uv_shifts, e)), c)
+                    for e, c in p_polynomial(m, n, k_eff, l_eff).terms.items()
+                ]
+            base = b1 + b2
+            c = c1 * c2
+            for e, pc in piece:
+                e += base
+                acc[e] = get(e, 0) + c * pc
+    acc = {e: c for e, c in acc.items() if c}
+    num = SymPoly(out_syms, _unpacked(acc, len(out_syms), width), _checked=True).restricted()
 
-    for i in range(m):
-        for j in range(n):
-            table._add_keyed(sum_ids[i][j], sums[i][j])
-    acc = acc.restricted()
-    for s in acc.symbols:
+    for fid, s in cells:
+        table._add_keyed(fid, s)
+    for s in num.symbols:
         table._add_keyed(s, forms1[s] if s in forms1 else forms2[s])
     prefix = tuple(a + b for a, b in zip(t1.prefix, t2.prefix))
-    return RationalTerm(prefix, acc, tuple(sorted(flat)))
+    return RationalTerm(prefix, num, tuple(sorted(flat)))
 
 
 def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
@@ -821,15 +860,21 @@ def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
 
     Works term pair by term pair; every pair must satisfy the distinctness
     precondition (all sums u_i + v_j different), otherwise
-    DistinctnessViolation propagates to the caller.
+    DistinctnessViolation propagates to the caller.  Each sum u + v is built
+    and its form id rendered once per call: a memo keyed by (u_id, v_id)
+    lives for this call only and feeds every pair, which still runs all of
+    its checks.
     """
     if e1.registry != e2.registry:
         raise ValueError("operands live over different variable registries")
     table = FormTable(e1.registry)
+    sums: dict = {}
     terms = []
     for t1 in e1.terms:
         for t2 in e2.terms:
-            terms.append(_odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2))
+            terms.append(
+                _odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2, sums)
+            )
     return RationalExpr(e1.registry, table, RationalExpr._merged(terms), _checked=True)
 
 

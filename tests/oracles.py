@@ -5,9 +5,11 @@ nothing with the code it checks beyond basic arithmetic: the undivided
 numerator Q by a direct sum of tuple-keyed SymPoly products, the moment
 recursion memoized on raw keys, the canonical moment key by brute force
 over every rotation, the graded product of several series by the direct
-multinomial formula, and the two series pipelines (F_n and the expansion
-of a rational expression) on tuple-keyed Series, multiplying by
-geometric(u, D) where the package divides packed terms by 1 - u.
+multinomial formula, the closed product of two rational expressions term
+pair by term pair on SymPoly products, and the two series pipelines (F_n
+and the expansion of a rational expression) on tuple-keyed Series,
+multiplying by geometric(u, D) where the package divides packed terms by
+1 - u.
 """
 
 import math
@@ -17,7 +19,17 @@ from itertools import combinations, product
 from dtmoments.fps import Exponents, Series, VariableRegistry, geometric, odot_many
 from dtmoments.genfun import _split_factors
 from dtmoments.moments import nom
-from dtmoments.ratfun import SymPoly, identity_form, uv_symbols
+from dtmoments.ratfun import (
+    DistinctnessViolation,
+    FormTable,
+    RationalExpr,
+    RationalTerm,
+    SymPoly,
+    form_id,
+    identity_form,
+    p_polynomial,
+    uv_symbols,
+)
 
 
 # -- the undivided numerator Q ------------------------------------------------------
@@ -161,6 +173,76 @@ def odot_many_direct(fs) -> Series:
         elif key in out:
             del out[key]
     return Series(registry, D, out, _checked=True)
+
+
+# -- the closed product by SymPoly products --------------------------------------------
+
+
+def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalTerm:
+    """One term pair: every sum u_i + v_j built and its id rendered afresh,
+    and the numerator summed as P (renamed with with_symbols) times the two
+    numerator monomials, per numerator term pair."""
+    m = len(t1.denominator)
+    n = len(t2.denominator)
+    if m == 0 or n == 0:
+        raise ValueError("closed products need at least one denominator factor per side")
+    N = registry.modulus
+    us = [forms1[fid] for fid in t1.denominator]
+    vs = [forms2[fid] for fid in t2.denominator]
+    sums = [[us[i] + vs[j] for j in range(n)] for i in range(m)]
+    sum_ids = [[form_id(sums[i][j]) for j in range(n)] for i in range(m)]
+    flat = [sum_ids[i][j] for i in range(m) for j in range(n)]
+    if len(set(flat)) != m * n:
+        collisions = sorted({fid for fid in flat if flat.count(fid) > 1})
+        raise DistinctnessViolation(
+            "pairwise denominator sums collide: " + "; ".join(collisions)
+        )
+
+    k_pref = sum(t1.prefix) // N
+    l_pref = sum(t2.prefix) // N
+    u_ids = t1.denominator
+    v_ids = t2.denominator
+    out_syms = tuple(
+        sorted(set(u_ids) | set(v_ids) | set(t1.numerator.symbols) | set(t2.numerator.symbols))
+    )
+    rename = {f"u{i+1}": u_ids[i] for i in range(m)}
+    rename.update({f"v{j+1}": v_ids[j] for j in range(n)})
+    acc = SymPoly.zero(out_syms)
+    for e1, c1 in t1.numerator.terms.items():
+        for e2, c2 in t2.numerator.terms.items():
+            k_eff = k_pref + sum(e1)
+            l_eff = l_pref + sum(e2)
+            if k_eff > m - 1 or l_eff > n - 1:
+                raise ValueError(
+                    "closed product needs (prefix + numerator) shorter than the denominator"
+                )
+            piece = p_polynomial(m, n, k_eff, l_eff).with_symbols(out_syms, rename)
+            mono1 = SymPoly(t1.numerator.symbols, {e1: c1}).with_symbols(out_syms)
+            mono2 = SymPoly(t2.numerator.symbols, {e2: c2}).with_symbols(out_syms)
+            acc = acc + piece * mono1 * mono2
+
+    for i in range(m):
+        for j in range(n):
+            table._add_keyed(sum_ids[i][j], sums[i][j])
+    acc = acc.restricted()
+    for s in acc.symbols:
+        table._add_keyed(s, forms1[s] if s in forms1 else forms2[s])
+    prefix = tuple(a + b for a, b in zip(t1.prefix, t2.prefix))
+    return RationalTerm(prefix, acc, tuple(sorted(flat)))
+
+
+def odot_closed_by_products(e1, e2):
+    """The closed graded product of two rational expressions, term pair by
+    term pair, with no memo shared between pairs."""
+    if e1.registry != e2.registry:
+        raise ValueError("operands live over different variable registries")
+    table = FormTable(e1.registry)
+    terms = [
+        _odot_pair_by_products(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2)
+        for t1 in e1.terms
+        for t2 in e2.terms
+    ]
+    return RationalExpr(e1.registry, table, RationalExpr._merged(terms), _checked=True)
 
 
 # -- the series pipelines by geometric series ------------------------------------------

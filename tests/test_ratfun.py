@@ -1,6 +1,7 @@
 import math
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -23,8 +24,9 @@ from dtmoments.ratfun import (
     permutation_form,
     uv_symbols,
 )
+from dtmoments import genfun
 from conftest import ZW2, ZW3
-from oracles import expand_by_geometric, q_polynomial
+from oracles import expand_by_geometric, odot_closed_by_products, q_polynomial
 
 
 def sp(m, n, data):
@@ -351,6 +353,88 @@ def test_odot_closed_distinctness_violation():
         odot_closed(left, right)
 
 
+def test_odot_closed_distinctness_violation_through_the_memo():
+    # the first term pair is distinct and puts z1w1+z2w2 = u2 + v1 in the
+    # memo; the second pair meets it again as u1 + v2 and as u2 + v1
+    u1 = Series(ZW2, 2, {(1, 1, 0, 0): 1})
+    u2 = Series(ZW2, 2, {(0, 0, 1, 1): 1})
+    left = RationalExpr.single(ZW2, (0,) * 4, 1, [u1, u2])
+    right = RationalExpr.geometric_term(ZW2, u1) + RationalExpr.single(
+        ZW2, (0,) * 4, 1, [u1, u2]
+    )
+    assert [len(t.denominator) for t in right.terms] == [1, 2]
+    with pytest.raises(DistinctnessViolation, match="collide: z1w1\\+z2w2$"):
+        odot_closed(left, right)
+
+
+# -- the closed product against the per-pair product route --------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_odot_closed_equals_the_product_route_in_f_rational(monkeypatch, n):
+    products = []
+
+    def checked(a, b):
+        got = odot_closed(a, b)
+        assert got == odot_closed_by_products(a, b)
+        products.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(genfun, "odot_closed", checked)
+    assert genfun.f_rational.__wrapped__(n) == genfun.f_rational(n)
+    assert products
+
+
+def _random_form(rng):
+    """A degree-2 form over ZW3: every z_i w_j with a random nonzero weight."""
+    terms = {}
+    for i, j in product(range(3), range(3)):
+        terms[zw_mono(ZW3, [("z", i), ("w", j)])] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Series(ZW3, 2, terms)
+
+
+def _random_expr(rng, pool, count):
+    """A sum of ``count`` terms over forms from ``pool``: a random prefix of
+    k z_i w_j pairs, m denominators, and a numerator holding every monomial
+    of degree <= m-1-k in the denominator ids, so that several numerator
+    terms share a degree."""
+    expr = None
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        dens = rng.sample(pool, m)
+        k = rng.randint(0, m - 1)
+        prefix = zw_mono(ZW3, [(x, rng.randrange(3)) for _ in range(k) for x in "zw"])
+        ids = tuple(sorted(form_id(f) for f in dens))
+        terms = {
+            e: Fraction(rng.choice([-5, -1, 1, 2, 7]), rng.choice([1, 1, 3]))
+            for e in product(range(m - k), repeat=m)
+            if sum(e) <= m - 1 - k
+        }
+        term = RationalExpr.single(ZW3, prefix, SymPoly(ids, terms), dens)
+        expr = term if expr is None else expr + term
+    return expr
+
+
+def test_odot_closed_equals_the_product_route_on_seeded_pairs():
+    # the two pools share one form, so a u and a v can be the same symbol,
+    # yet no two pair sums collide: generic forms are linearly independent
+    rng = random.Random(20261018)
+    forms = [_random_form(rng) for _ in range(7)]
+    left_pool, right_pool = forms[:4], forms[3:]
+    reused = 0
+    for _ in range(12):
+        left = _random_expr(rng, left_pool, 3)
+        right = _random_expr(rng, right_pool, 2)
+        got = odot_closed(left, right)
+        assert got == odot_closed_by_products(left, right)
+        assert got.expand(6) == left.expand(6).odot(right.expand(6))
+        reused += sum(
+            len(t.numerator.terms) > len({sum(e) for e in t.numerator.terms})
+            for t in left.terms
+        )
+    assert reused
+
+
 def test_odot_closed_rejects_long_prefix():
     u = Series(ZW2, 2, {(1, 1, 0, 0): 1})
     v = Series(ZW2, 2, {(0, 0, 1, 1): 1})
@@ -394,6 +478,32 @@ def test_expand_with_fractions_and_repeated_forms_equals_the_geometric_route():
     expr = expr + RationalExpr.single(ZW2, (0, 0, 0, 0), Fraction(2, 5), [v, v])
     for D in range(0, 10):
         assert expr.expand(D) == expand_by_geometric(expr, D), D
+
+
+def test_expand_divides_once_by_a_shared_form_as_the_geometric_route_does():
+    # u twice and v once sit in every denominator; w in one term only
+    u = identity_form(ZW2)
+    v = permutation_form(ZW2, (1, 0))
+    w = Series(ZW2, 2, {(1, 1, 0, 0): 3, (1, 0, 0, 1): -1})
+    fu, fw = form_id(u), form_id(w)
+    expr = RationalExpr.single(ZW2, (0, 0, 0, 0), 2, [u, v, u])
+    expr = expr + RationalExpr.single(
+        ZW2, (1, 0, 0, 1), SymPoly((fu,), {(1,): Fraction(1, 2)}), [v, u, u, w]
+    )
+    expr = expr + RationalExpr.single(
+        ZW2, (2, 0, 1, 1), SymPoly((fw,), {(0,): -1, (1,): 4}), [u, w, u, v]
+    )
+    for D in range(0, 10):
+        assert expr.expand(D) == expand_by_geometric(expr, D), D
+
+
+def test_expand_without_a_shared_form_equals_the_geometric_route():
+    u = identity_form(ZW2)
+    v = permutation_form(ZW2, (1, 0))
+    expr = RationalExpr.geometric_term(ZW2, u) + RationalExpr.geometric_term(ZW2, v)
+    for D in range(0, 10):
+        assert expr.expand(D) == expand_by_geometric(expr, D), D
+    assert expr.expand(8) == geometric(u, 8) + geometric(v, 8)
 
 
 def test_public_constructor_validates_every_term():
