@@ -515,18 +515,24 @@ def geometric(form: Series, trunc: int) -> Series:
 
 # -- packed-exponent kernel ---------------------------------------------------------
 #
-# Whole pipelines (genfun.f_series, RationalExpr.expand) run on plain
-# {monomial: coefficient} dicts whose monomials are packed ints.  They pack
-# once on entry and unpack once on exit, so Series.terms stays tuple-keyed.
+# Every packed dict in the package uses this one layout: the series
+# pipelines (genfun.f_series, RationalExpr.expand), the P numerators
+# (ratfun.p_polynomial) and the closed product (ratfun._odot_pair) run on
+# plain {monomial: coefficient} dicts whose monomials are packed ints.  They
+# pack once on entry and unpack once on exit, so Series.terms and
+# SymPoly.terms stay tuple-keyed.
 #
 # Layout for `size` variables and a degree bound D: variable i sits in the
 # bit field [i*w, (i+1)*w) with w = _width(D), and the total degree sits in
 # a field on top, from bit size*w up.  A monomial product is one integer
 # addition (the degree fields add along) and a degree read is one shift.
 #
-# No field can wrap: every operation below forms a product only when its
-# total degree is <= D, and a total degree bounds every single exponent, so
-# each exponent field stays <= D < 2**w.
+# No field can wrap: every operation forms a product only when its total
+# degree is <= D, and a total degree bounds every single exponent, so each
+# exponent field stays <= D < 2**w.  The one guard sits in _Packing.mono:
+# it raises OverflowError on an exponent that is negative or does not fit
+# its field.  The closed product's renaming loop, the hot spot, reads
+# .shifts and .top directly and rests on its degree bound alone.
 
 
 def _width(bound: int) -> int:
@@ -559,6 +565,8 @@ class _Packing:
     def mono(self, exps) -> int:
         key = sum(exps) << self.top
         for x, s in zip(exps, self.shifts):
+            if not 0 <= x <= self.mask:
+                raise OverflowError(f"exponent {x} does not fit a {self.width}-bit field")
             key += x << s
         return key
 
@@ -776,13 +784,16 @@ class QSeries:
 def e_transform(f: Series) -> QSeries:
     """Rearrange f into sum_k f_(k) q^k / k! (the exponential transform)."""
     N = f.registry.modulus
-    order = f.trunc // N
-    parts: dict[int, Series] = {}
-    for k in range(order + 1):
-        p = f.homogeneous_part(k)
-        if not p.is_zero():
-            parts[k] = p.scale(Fraction(1, math.factorial(k)))
-    return QSeries(f.registry, f.trunc, order, parts, _checked=True)
+    levels: dict[int, dict] = {}  # level k -> the terms of degree N*k
+    for e, c in f.terms.items():
+        levels.setdefault(sum(e) // N, {})[e] = c
+    parts = {
+        k: Series(f.registry, f.trunc, levels[k], _checked=True).scale(
+            Fraction(1, math.factorial(k))
+        )
+        for k in sorted(levels)
+    }
+    return QSeries(f.registry, f.trunc, f.trunc // N, parts, _checked=True)
 
 
 def e_inverse(h: QSeries) -> Series:

@@ -159,14 +159,16 @@ def f_rational(n: int) -> RationalExpr:
     registry = _registry(n)
     if n == 1:
         return RationalExpr.geometric_term(registry, _pair_form(registry, "z1", "w1"))
-    acc = None
-    for factors in _split_factors(n):
-        term = None
-        for pairs, prefix in factors:
-            factor = _rational_factor(registry, pairs, prefix)
-            term = factor if term is None else odot_closed(term, factor)
-        acc = term if acc is None else acc + term
-    return acc.with_denominator(identity_form(registry))
+
+    def split_terms():
+        for factors in _split_factors(n):
+            term = None
+            for pairs, prefix in factors:
+                factor = _rational_factor(registry, pairs, prefix)
+                term = factor if term is None else odot_closed(term, factor)
+            yield term
+
+    return RationalExpr._sum(split_terms()).with_denominator(identity_form(registry))
 
 
 # -- diagonals ---------------------------------------------------------------------

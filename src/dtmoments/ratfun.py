@@ -24,7 +24,6 @@ from .fps import (
     _pdiv_one_minus,
     _pmul_trunc,
     _pshift,
-    _width,
 )
 
 
@@ -36,83 +35,29 @@ class DistinctnessViolation(ValueError):
     """The pairwise sums u_i + v_j of a closed product are not distinct."""
 
 
-# -- packed polynomial kernel -------------------------------------------------------
+# -- the P kernel on packed dicts ---------------------------------------------------
 #
-# Building P runs on plain {monomial: int} dicts whose monomials are packed
-# ints.  Layout: the exponent of variable i sits
-# in the bit field [i*width, (i+1)*width), so a monomial product is one
-# integer addition and an exponent is read with a shift and a mask.
-#
-# Width rule: a computation takes its width from a bound on the total degree
-# of every polynomial it builds; _width(bound) bits hold 0..bound (_p_width
-# gives the bound of P).  A total degree bounds every
-# single exponent, so while the bound holds no product or sum carries from
-# one field into the next.
-#
-# Overflow rule: a field must never wrap.  _pmono, where every packed
-# monomial starts, raises OverflowError on an exponent that does not fit
-# its field.
-#
-# Results are unpacked to exponent tuples once, when the SymPoly is built
-# (_unpacked).  _padd and _pscale never look inside their keys, so they also
-# serve the tuple-keyed SymPoly.  The width rule (_width) and the in-place
-# accumulator (_padd_into) are shared with the series kernel in fps.
+# Building P runs in the fps._Packing layout; the exact linear division
+# lives here, next to ExactDivisionError.  Both helpers keep the degree
+# field exact.
 
 
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
+def _power(packing: _Packing, i: int, x: int = 1) -> int:
+    """The packed monomial x_i^x."""
+    return packing.mono([x if j == i else 0 for j in range(len(packing.shifts))])
 
 
-def _pscale(a: dict, c) -> dict:
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-
-def _pmono(width: int, idx: int, power: int = 1) -> int:
-    """The packed monomial x_idx^power; raises OverflowError if the power
-    does not fit a field of ``width`` bits."""
-    if not 0 <= power < 1 << width:
-        raise OverflowError(f"exponent {power} does not fit a {width}-bit field")
-    return power << (width * idx)
-
-
-def _unpacked(terms: dict, size: int, width: int) -> dict:
-    """The same polynomial keyed by exponent tuples."""
-    mask = (1 << width) - 1
-    shifts = [width * i for i in range(size)]
-    return {tuple([(e >> s) & mask for s in shifts]): c for e, c in terms.items()}
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _swapped(terms: dict, width: int, a: int, b: int) -> dict:
-    """The same polynomial with the exponents of x_a and x_b exchanged."""
-    mask = (1 << width) - 1
-    sa = width * a
-    sb = width * b
+def _swapped(terms: dict, packing: _Packing, a: int, b: int) -> dict:
+    """The same polynomial with the exponents of x_a and x_b exchanged; the
+    total degree, and so the degree field, is unchanged."""
+    mask = packing.mask
+    sa = packing.shifts[a]
+    sb = packing.shifts[b]
     delta = (1 << sa) - (1 << sb)
     return {e + (((e >> sb) & mask) - ((e >> sa) & mask)) * delta: c for e, c in terms.items()}
 
 
-def _div_linear(terms: dict, width: int, main: int, other: int) -> dict:
+def _div_linear(terms: dict, packing: _Packing, main: int, other: int) -> dict:
     """Exact division by x_main - x_other.
 
     Synthetic division on buckets: the dividend is split once by its degree
@@ -122,10 +67,10 @@ def _div_linear(terms: dict, width: int, main: int, other: int) -> dict:
     added to bucket d-1.  What is left in bucket 0 is the remainder, and a
     nonzero remainder raises ExactDivisionError.
     """
-    shift = width * main
-    unit = 1 << shift
-    other_unit = 1 << (width * other)
-    mask = (1 << width) - 1
+    shift = packing.shifts[main]
+    mask = packing.mask
+    unit = _power(packing, main)
+    other_unit = _power(packing, other)
     buckets: list = [{} for _ in range(mask + 1)]
     for e, c in terms.items():
         buckets[(e >> shift) & mask][e] = c
@@ -235,7 +180,9 @@ class SymPoly:
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._require_same(other)
-        return SymPoly(self.symbols, _padd(self.terms, other.terms), _checked=True)
+        terms = dict(self.terms)
+        _padd_into(terms, other.terms)
+        return SymPoly(self.symbols, terms, _checked=True)
 
     def __neg__(self):
         return SymPoly(self.symbols, {e: -c for e, c in self.terms.items()}, _checked=True)
@@ -247,7 +194,9 @@ class SymPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SymPoly(self.symbols, _pscale(self.terms, _norm_coeff(other)), _checked=True)
+            c = _norm_coeff(other)
+            terms = {e: v * c for e, v in self.terms.items()} if c else {}
+            return SymPoly(self.symbols, terms, _checked=True)
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._require_same(other)
@@ -355,21 +304,23 @@ def uv_symbols(m: int, n: int) -> tuple:
     )
 
 
-def _p_width(m: int, n: int) -> int:
+def _p_packing(m: int, n: int) -> _Packing:
     # node values have degree K + L + (m-1)n, largest at k = l = 0, and the
     # Newton table only lowers degrees
-    return _width((m - 1) * n + (m - 1) + (n - 1))
+    return _Packing(m + n, (m - 1) * n + (m - 1) + (n - 1))
 
 
 @lru_cache(maxsize=None)
 def _row_product(m: int, n: int) -> dict:
-    """prod of (1 - u_i - v_j) over all cells outside row 0, packed with
-    width _p_width(m, n)."""
-    width = _p_width(m, n)
+    """prod of (1 - u_i - v_j) over all cells outside row 0, packed in
+    _p_packing(m, n)."""
+    packing = _p_packing(m, n)
+    limit = (m - 1) * n  # the product's degree: no term is dropped
     prod = {0: 1}
     for i in range(1, m):
         for j in range(n):
-            prod = _pmul(prod, {0: 1, _pmono(width, i): -1, _pmono(width, m + j): -1})
+            cell = {0: 1, _power(packing, i): -1, _power(packing, m + j): -1}
+            prod = _pmul_trunc(cell, prod, packing.top, limit)
     return prod
 
 
@@ -409,14 +360,19 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
         raise ValueError("need 0 <= k <= m-1 and 0 <= l <= n-1")
     K = m - k - 1
     L = n - l - 1
-    width = _p_width(m, n)
-    weight = {_pmono(width, 0, K + t): (-1) ** t * math.comb(L, t) for t in range(L + 1)}
-    window = _pmul(_row_product(m, n), weight)
+    packing = _p_packing(m, n)
+    row = _row_product(m, n)
+    limit = K + L + (m - 1) * n  # the window's degree: no term is dropped
+    # window = u_0^K (1 - u_0)^L * row, one shifted copy of row per power of u_0
+    window = _pshift(row, _power(packing, 0, K), packing.top, limit)
+    for t in range(1, L + 1):
+        mono = _power(packing, 0, K + t)
+        _padd_into(window, _pshift(row, mono, packing.top, limit), (-1) ** t * math.comb(L, t))
     for b in range(1, m):
-        dividend = _swapped(window, width, 0, b)
+        dividend = _swapped(window, packing, 0, b)
         _padd_into(dividend, window, -1)
-        window = _div_linear(dividend, width, b, 0)
-    return SymPoly(uv_symbols(m, n), _unpacked(window, m + n, width), _checked=True)
+        window = _div_linear(dividend, packing, b, 0)
+    return SymPoly(uv_symbols(m, n), packing.unpack(window), _checked=True)
 
 
 # -- concrete degree-N forms and rational expressions -----------------------------------
@@ -618,17 +574,31 @@ class RationalExpr:
                 order.append(key)
         return [keyed[k] for k in order if not keyed[k].numerator.is_zero()]
 
+    @classmethod
+    def _sum(cls, exprs) -> "RationalExpr":
+        """The sum of one or more expressions in one pass: every form joins
+        one table by key and _merged walks every term once.  ``exprs`` may
+        be a generator; each expression, its table included, is dropped once
+        its terms are in."""
+        exprs = iter(exprs)
+        first = next(exprs)
+        table = first.table.merged()
+
+        def terms():
+            yield from first.terms
+            for e in exprs:
+                if e.registry != first.registry:
+                    raise ValueError("operands live over different variable registries")
+                for fid, f in e.table.forms.items():
+                    table.forms.setdefault(fid, f)
+                yield from e.terms
+
+        return cls(first.registry, table, cls._merged(terms()), _checked=True)
+
     def __add__(self, other):
         if not isinstance(other, RationalExpr):
             return NotImplemented
-        if self.registry != other.registry:
-            raise ValueError("operands live over different variable registries")
-        return RationalExpr(
-            self.registry,
-            self.table.merged(other.table),
-            self._merged(list(self.terms) + list(other.terms)),
-            _checked=True,
-        )
+        return RationalExpr._sum((self, other))
 
     def scale_prefix(self, exps) -> "RationalExpr":
         exps = tuple(exps)
@@ -812,14 +782,16 @@ def _odot_pair(
     num2 = t2.numerator
     out_syms = tuple(sorted(set(u_ids) | set(v_ids) | set(num1.symbols) | set(num2.symbols)))
     # an output term has degree <= deg P + deg num1 + deg num2, and deg P
-    # is bounded as in _p_width
-    width = _width((m - 1) * n + m + n - 2 + num1.degree() + num2.degree())
-    shift = {s: width * i for i, s in enumerate(out_syms)}
-    uv_shifts = [shift[s] for s in u_ids + v_ids]
+    # is bounded as in _p_packing
+    packing = _Packing(len(out_syms), (m - 1) * n + m + n - 2 + num1.degree() + num2.degree())
+    # renaming P's terms is the hot loop, so it reads the layout directly:
+    # a symbol's unit is one in its own field plus one in the degree field
+    unit = {s: (1 << w) + (1 << packing.top) for s, w in zip(out_syms, packing.shifts)}
 
     def packed(symbols, exps) -> int:
-        return sum(x << shift[s] for s, x in zip(symbols, exps))
+        return sum([x * unit[s] for s, x in zip(symbols, exps) if x])
 
+    uv = u_ids + v_ids
     right = [(sum(e2), packed(num2.symbols, e2), c2) for e2, c2 in num2.terms.items()]
     pieces: dict = {}
     acc: dict = {}
@@ -836,8 +808,7 @@ def _odot_pair(
             piece = pieces.get((k_eff, l_eff))
             if piece is None:
                 piece = pieces[k_eff, l_eff] = [
-                    (sum(x << w for w, x in zip(uv_shifts, e)), c)
-                    for e, c in p_polynomial(m, n, k_eff, l_eff).terms.items()
+                    (packed(uv, e), c) for e, c in p_polynomial(m, n, k_eff, l_eff).terms.items()
                 ]
             base = b1 + b2
             c = c1 * c2
@@ -845,7 +816,7 @@ def _odot_pair(
                 e += base
                 acc[e] = get(e, 0) + c * pc
     acc = {e: c for e, c in acc.items() if c}
-    num = SymPoly(out_syms, _unpacked(acc, len(out_syms), width), _checked=True).restricted()
+    num = SymPoly(out_syms, packing.unpack(acc), _checked=True).restricted()
 
     for fid, s in cells:
         table._add_keyed(fid, s)

@@ -5,6 +5,8 @@ direct multinomial product) live in tests/oracles.py, not in the package.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import dtmoments
 from dtmoments import fps, genfun, moments, ratfun
@@ -83,3 +85,10 @@ def test_test_only_routes_stay_out_of_the_package():
     assert not hasattr(ratfun.SymPoly, "substitute_series")
     # the engine always canonicalizes; raw keys are the oracle's job
     assert list(inspect.signature(moments.MomentEngine).parameters) == ["memo_limit"]
+
+
+def test_readme_library_block_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -306,3 +306,21 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "N=4 M=2/3\n"
+
+
+def test_etransform_walks_the_terms_not_every_level(tmp_path):
+    # one term at level 1 under a degree bound of 10**9: the report is the
+    # same as under the bound 2, and it must not take one step per level
+    def etransform(D):
+        path = tmp_path / f"d{D}.series"
+        path.write_text(f"# vars: z1 w1\n# N: 2\n# D: {D}\n1/1 z1 w1\n", encoding="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtmoments", "etransform", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert etransform(10**9) == etransform(2)

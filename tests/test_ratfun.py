@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from dtmoments.fps import Series, VariableRegistry, geometric
+from dtmoments.fps import Series, VariableRegistry, _Packing, _pmul_trunc, _width, geometric
 from dtmoments.ratfun import (
     DistinctnessViolation,
     ExactDivisionError,
@@ -14,9 +14,9 @@ from dtmoments.ratfun import (
     RationalTerm,
     SymPoly,
     _div_linear,
-    _pmono,
-    _unpacked,
-    _width,
+    _p_packing,
+    _row_product,
+    _swapped,
     form_id,
     identity_form,
     odot_closed,
@@ -63,38 +63,73 @@ def test_sympoly_with_symbols_can_merge():
 
 def test_exact_division_helper_detects_remainders():
     # (u1 - u2) divides u1^2 - u2^2 but not u1^2 + u2^2; monomials are
-    # packed ints, u1 in the low 2-bit field and u2 in the next one
-    w = 2
-    u1, u2 = _pmono(w, 0), _pmono(w, 1)
-    ok = _div_linear({_pmono(w, 0, 2): 1, _pmono(w, 1, 2): -1}, w, 0, 1)
+    # packed ints, u1 in the low 2-bit field, u2 in the next one and the
+    # total degree on top
+    packing = _Packing(2, 2)
+    u1, u2 = packing.mono((1, 0)), packing.mono((0, 1))
+    ok = _div_linear({packing.mono((2, 0)): 1, packing.mono((0, 2)): -1}, packing, 0, 1)
     assert ok == {u1: 1, u2: 1}
-    assert _unpacked(ok, 2, w) == {(1, 0): 1, (0, 1): 1}
+    assert packing.unpack(ok) == {(1, 0): 1, (0, 1): 1}
     with pytest.raises(ExactDivisionError):
-        _div_linear({_pmono(w, 0, 2): 1, _pmono(w, 1, 2): 1}, w, 0, 1)
+        _div_linear({packing.mono((2, 0)): 1, packing.mono((0, 2)): 1}, packing, 0, 1)
 
 
 def test_exact_division_by_a_variable_difference_leaves_a_remainder():
     # u1^2 - u2 u3 = (u1 - u2)(u1 + u2) + u2^2 - u2 u3: the quotient's
     # pushes leave u2^2 - u2 u3 in bucket 0
-    w = 2
-    u2, u3 = _pmono(w, 1), _pmono(w, 2)
+    packing = _Packing(3, 2)
+    u1_sq = packing.mono((2, 0, 0))
     with pytest.raises(ExactDivisionError):
-        _div_linear({_pmono(w, 0, 2): 1, u2 + u3: -1}, w, 0, 1)
+        _div_linear({u1_sq: 1, packing.mono((0, 1, 1)): -1}, packing, 0, 1)
     # with u2 u3 replaced by u2^2 the same division is exact
-    exact = _div_linear({_pmono(w, 0, 2): 1, _pmono(w, 1, 2): -1}, w, 0, 1)
-    assert exact == {_pmono(w, 0): 1, u2: 1}
+    exact = _div_linear({u1_sq: 1, packing.mono((0, 2, 0)): -1}, packing, 0, 1)
+    assert exact == {packing.mono((1, 0, 0)): 1, packing.mono((0, 1, 0)): 1}
 
 
 def test_packed_exponent_overflow_raises_instead_of_wrapping():
     # a 2-bit field holds 0..3; 4 would carry into the next variable's field
-    assert _pmono(2, 0, 3) == 3
-    assert _pmono(2, 1, 1) == 4
+    packing = _Packing(2, 3)
+    assert packing.width == 2
+    assert packing.mono((3, 0)) == 3 + (3 << packing.top)
+    assert packing.mono((0, 1)) == 4 + (1 << packing.top)
     with pytest.raises(OverflowError):
-        _pmono(2, 0, 4)
+        packing.mono((4, 0))
     with pytest.raises(OverflowError):
-        _pmono(2, 1, -1)
+        packing.mono((0, -1))
     # the width rule: the fewest bits that hold every exponent up to the bound
     assert [_width(bound) for bound in (0, 1, 3, 4, 18)] == [1, 1, 2, 3, 5]
+
+
+def assert_degree_fields_exact(terms, packing):
+    for e in terms:
+        exps = [(e >> s) & packing.mask for s in packing.shifts]
+        assert e >> packing.top == sum(exps), (e, exps)
+
+
+def test_p_kernel_keeps_the_degree_field_exact():
+    rng = random.Random("p-kernel-degree-field")
+    for _ in range(40):
+        size = rng.randrange(2, 6)
+        packing = _Packing(size, 6)
+        f = {}
+        for _ in range(rng.randrange(1, 8)):
+            exps = [0] * size
+            for _ in range(rng.randrange(0, 6)):
+                exps[rng.randrange(size)] += 1
+            f[packing.mono(exps)] = rng.choice((1, -1, 2, -3, 5))
+        a, b = rng.sample(range(size), 2)
+        linear = {packing.mono([int(i == a) for i in range(size)]): 1,
+                  packing.mono([int(i == b) for i in range(size)]): -1}
+        product = _pmul_trunc(f, linear, packing.top, 6)
+        quotient = _div_linear(product, packing, a, b)
+        assert quotient == f
+        swapped = _swapped(f, packing, a, b)
+        assert _swapped(swapped, packing, a, b) == f
+        for terms in (product, quotient, swapped):
+            assert_degree_fields_exact(terms, packing)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            assert_degree_fields_exact(_row_product(m, n), _p_packing(m, n))
 
 
 # -- the universal numerator polynomials -------------------------------------------
