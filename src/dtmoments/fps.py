@@ -5,18 +5,43 @@ total degrees divisible by the registry's modulus N (N = 2 for the z/w
 generating functions, N = 1 for ordinary series).  Coefficients are exact
 Python ints or Fractions; floats are rejected.  All operations are pure and
 truncate to the smaller degree bound of their operands.
+
+Two polynomial kernels live here, kept apart on purpose.  The tuple-term
+core works on {exponent tuple: coefficient} dicts and backs the public API:
+Series, QSeries and ratfun.SymPoly are thin methods over it, and the tests'
+oracle routes are built on those types.  The packed kernel works on
+{packed int: coefficient} dicts and runs the production pipelines
+(genfun.f_series, RationalExpr.expand, the P numerators and the closed
+product).  The two share no code beyond _padd_into, which never looks
+inside its keys, so an oracle built on the first checks the second
+independently.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 Exponents = tuple[int, ...]
 
 
 class RegistryMismatch(ValueError):
     """Operands were built over different variable registries."""
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+# -- tuple-term core ------------------------------------------------------------------
+#
+# Terms are {exponent tuple: coefficient} dicts with nonzero exact
+# coefficients.  Series, QSeries and ratfun.SymPoly validate, multiply,
+# remap, order and render their terms only through these functions, and
+# none of them calls the packed kernel further down.
 
 
 def _norm_coeff(c):
@@ -28,10 +53,123 @@ def _norm_coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+def _clean_terms(terms, size: int, modulus: int = 1, limit=None) -> dict:
+    """Validated terms from a mapping or from (exponents, coefficient) pairs.
+
+    Every exponent tuple must have ``size`` nonnegative int entries and every
+    coefficient must be exact (TypeError otherwise); zero terms and terms
+    that cancel are dropped.  A nonzero term whose degree is not a multiple
+    of ``modulus`` raises, one of degree > ``limit`` is dropped.
+    """
+    out: dict = {}
+    for exps, c in terms.items() if hasattr(terms, "items") else terms:
+        exps = tuple(exps)
+        if len(exps) != size:
+            raise ValueError(f"exponent tuple {exps} does not have {size} entries")
+        if any(not isinstance(e, int) or e < 0 for e in exps):
+            raise ValueError(f"exponents must be nonnegative integers, got {exps}")
+        c = _norm_coeff(c)
+        if c == 0:
+            continue
+        deg = sum(exps)
+        if deg % modulus:
+            raise ValueError(
+                f"term of degree {deg} violates the degree-modulus-{modulus} support constraint"
+            )
+        if limit is not None and deg > limit:
+            continue
+        v = out.get(exps, 0) + c
+        if v:
+            out[exps] = v
+        else:
+            del out[exps]
+    return out
+
+
+def _tslices(terms: dict, limit) -> dict:
+    """degree -> the (exponents, coefficient) pairs of that degree <= limit."""
+    out: dict = {}
+    for e, c in terms.items():
+        d = sum(e)
+        if limit is None or d <= limit:
+            if d in out:
+                out[d].append((e, c))
+            else:
+                out[d] = [(e, c)]
+    return out
+
+
+def _tmul(a: dict, b: dict, limit=None, weight=None) -> dict:
+    """a * b without the terms of degree > limit (no limit when None).  With
+    ``weight``, a term pair of degrees (d1, d2) picks up weight(d1, d2)."""
+    right = sorted(_tslices(b, limit).items())
+    out: dict = {}
+    get = out.get
+    for d1, lterms in _tslices(a, limit).items():
+        for d2, rterms in right:
+            if limit is not None and d1 + d2 > limit:
+                break
+            w = 1 if weight is None else weight(d1, d2)
+            for e1, c1 in lterms:
+                c1 *= w
+                for e2, c2 in rterms:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _tscale(terms: dict, c, size: int) -> dict:
+    """c * terms, as the product with the constant c."""
+    return _tmul(terms, {(0,) * size: _norm_coeff(c)})
+
+
+def _tremap(terms: dict, where, size: int) -> dict:
+    """Send variable i to position where[i] of ``size`` positions.  Exponents
+    that land on one position add, and so do the coefficients of terms that
+    then coincide.  A variable absent from every term may map to None."""
+    out: dict = {}
+    get = out.get
+    for e, c in terms.items():
+        t = [0] * size
+        for pos, x in zip(where, e):
+            if x:
+                t[pos] += x
+        key = tuple(t)
+        out[key] = get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _order_key(term) -> tuple:
+    """The canonical term order: by total degree, then by exponent tuple
+    with earlier variables first."""
+    e = term[0]
+    return sum(e), tuple(-x for x in e)
+
+
+def _split(c) -> tuple:
+    """(numerator, denominator) of an exact coefficient.  An int carries
+    both attributes itself, so no Fraction is built for it."""
+    return c.numerator, c.denominator
+
+
+def _json_terms(terms: dict) -> list:
+    out = []
+    for e, c in sorted(terms.items(), key=_order_key):
+        num, den = _split(c)
+        out.append({"exps": list(e), "num": num, "den": den})
+    return out
+
+
+def _immutable(last: str):
+    """A __setattr__ that refuses every assignment once the slot ``last``,
+    the one __init__ fills last, is set."""
+
+    def __setattr__(self, name, value):
+        if hasattr(self, last):
+            raise AttributeError(f"{type(self).__name__} is immutable")
+        object.__setattr__(self, name, value)
+
+    return __setattr__
 
 
 @dataclass(frozen=True)
@@ -102,40 +240,13 @@ class Series:
             raise ValueError("truncation bound must be >= 0")
         self.registry = registry
         self.trunc = trunc
-        if _checked:
-            self.terms = terms
-            return
-        size = registry.size
-        mod = registry.modulus
-        clean: dict[Exponents, object] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for exps, c in items:
-            exps = tuple(exps)
-            if len(exps) != size:
-                raise ValueError(f"exponent tuple {exps} does not match registry size {size}")
-            if any(not isinstance(e, int) or e < 0 for e in exps):
-                raise ValueError(f"exponents must be nonnegative integers, got {exps}")
-            c = _norm_coeff(c)
-            if c == 0:
-                continue
-            deg = sum(exps)
-            if deg % mod != 0:
-                raise ValueError(
-                    f"term of degree {deg} violates the degree-modulus-{mod} support constraint"
-                )
-            if deg > trunc:
-                continue
-            clean[exps] = clean.get(exps, 0) + c
-            if clean[exps] == 0:
-                del clean[exps]
-        self.terms = clean
+        self.terms = (
+            terms if _checked else _clean_terms(terms, registry.size, registry.modulus, trunc)
+        )
 
     # -- basics ------------------------------------------------------------
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "terms"):
-            raise AttributeError("Series is immutable")
-        object.__setattr__(self, name, value)
+    __setattr__ = _immutable("terms")
 
     def _require_same(self, other: "Series") -> None:
         if self.registry != other.registry:
@@ -153,10 +264,7 @@ class Series:
     def sorted_terms(self) -> list[tuple[Exponents, object]]:
         """Terms in the canonical order: by total degree, then by exponent
         tuple with earlier registry variables first."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])),
-        )
+        return sorted(self.terms.items(), key=_order_key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -194,18 +302,11 @@ class Series:
         self._require_same(other)
         D = min(self.trunc, other.trunc)
         out = {e: c for e, c in self.terms.items() if sum(e) <= D}
-        for e, c in other.terms.items():
-            if sum(e) > D:
-                continue
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        _padd_into(out, other.with_trunc(D).terms)
         return Series(self.registry, D, out, _checked=True)
 
     def __neg__(self) -> "Series":
-        return Series(self.registry, self.trunc, {e: -c for e, c in self.terms.items()}, _checked=True)
+        return self.scale(-1)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -213,10 +314,9 @@ class Series:
         return self + (-other)
 
     def scale(self, c) -> "Series":
-        c = _norm_coeff(c)
-        if c == 0:
-            return Series.zero(self.registry, self.trunc)
-        return Series(self.registry, self.trunc, {e: v * c for e, v in self.terms.items()}, _checked=True)
+        return Series(
+            self.registry, self.trunc, _tscale(self.terms, c, self.registry.size), _checked=True
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,29 +325,9 @@ class Series:
             return NotImplemented
         self._require_same(other)
         D = min(self.trunc, other.trunc)
-        left = [(e, sum(e), c) for e, c in self.terms.items() if sum(e) <= D]
-        right = sorted(
-            ((e, sum(e), c) for e, c in other.terms.items() if sum(e) <= D),
-            key=lambda t: t[1],
-        )
-        out: dict[Exponents, object] = {}
-        for e1, d1, c1 in left:
-            lim = D - d1
-            for e2, d2, c2 in right:
-                if d2 > lim:
-                    break
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return Series(self.registry, D, out, _checked=True)
+        return Series(self.registry, D, _tmul(self.terms, other.terms, D), _checked=True)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     # -- graded structure ------------------------------------------------------
 
@@ -273,26 +353,11 @@ class Series:
         self._require_same(other)
         N = self.registry.modulus
         D = min(self.trunc, other.trunc)
-        left = [(e, sum(e), c) for e, c in self.terms.items() if sum(e) <= D]
-        right = sorted(
-            ((e, sum(e), c) for e, c in other.terms.items() if sum(e) <= D),
-            key=lambda t: t[1],
-        )
-        out: dict[Exponents, object] = {}
-        for e1, d1, c1 in left:
-            lim = D - d1
-            k1 = d1 // N
-            for e2, d2, c2 in right:
-                if d2 > lim:
-                    break
-                w = math.comb(k1 + d2 // N, k1)
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(key, 0) + w * c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return Series(self.registry, D, out, _checked=True)
+
+        def weight(d1, d2):
+            return math.comb((d1 + d2) // N, d1 // N)
+
+        return Series(self.registry, D, _tmul(self.terms, other.terms, D, weight), _checked=True)
 
     # -- structural helpers ------------------------------------------------------
 
@@ -316,30 +381,13 @@ class Series:
         if len(set(images)) != len(images):
             raise ValueError("mapping must be injective")
         where = [target.index(mapping[name]) for name in self.registry.names]
-        size = target.size
-        out: dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            t = [0] * size
-            for pos, exp in zip(where, e):
-                t[pos] = exp
-            out[tuple(t)] = c
-        return Series(target, self.trunc, out, _checked=True)
+        return Series(target, self.trunc, _tremap(self.terms, where, target.size), _checked=True)
 
     def shift(self, exps, coeff=1) -> "Series":
         """Multiply by a single monomial (terms pushed past trunc drop off)."""
-        exps = tuple(exps)
-        if len(exps) != self.registry.size or any(e < 0 for e in exps):
-            raise ValueError("bad monomial exponent tuple")
-        d = sum(exps)
-        if d % self.registry.modulus != 0:
-            raise ValueError("monomial degree breaks the support constraint")
-        coeff = _norm_coeff(coeff)
-        out: dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            if sum(e) + d > self.trunc:
-                continue
-            out[tuple(a + b for a, b in zip(e, exps))] = c * coeff
-        return Series(self.registry, self.trunc, out, _checked=True)
+        registry = self.registry
+        mono = _clean_terms({tuple(exps): coeff}, registry.size, registry.modulus)
+        return Series(registry, self.trunc, _tmul(self.terms, mono, self.trunc), _checked=True)
 
     # -- serialization ------------------------------------------------------------
 
@@ -351,13 +399,15 @@ class Series:
             f"# N: {self.registry.modulus}",
             f"# D: {self.trunc}",
         ]
-        for exps, c in self.sorted_terms():
-            f = Fraction(c)
-            mono = " ".join(
-                f"{name}^{e}" for name, e in zip(self.registry.names, exps) if e
-            )
-            lines.append(f"{f.numerator}/{f.denominator} {mono}".rstrip())
+        lines.extend(self._term_lines())
         return "\n".join(lines) + "\n"
+
+    def _term_lines(self, indent=""):
+        names = self.registry.names
+        for exps, c in self.sorted_terms():
+            num, den = _split(c)
+            mono = " ".join(f"{name}^{e}" for name, e in zip(names, exps) if e)
+            yield f"{indent}{num}/{den} {mono}".rstrip()
 
     @classmethod
     def from_text(cls, text: str) -> "Series":
@@ -425,15 +475,11 @@ class Series:
         return cls(registry or VariableRegistry(names, modulus), trunc, terms)
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for exps, c in self.sorted_terms():
-            f = Fraction(c)
-            terms.append({"exps": list(exps), "num": f.numerator, "den": f.denominator})
         return {
             "vars": list(self.registry.names),
             "N": self.registry.modulus,
             "D": self.trunc,
-            "terms": terms,
+            "terms": _json_terms(self.terms),
         }
 
     @classmethod
@@ -713,10 +759,7 @@ class QSeries:
                 clean[k] = part.with_trunc(trunc)
         self.parts = clean
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "parts"):
-            raise AttributeError("QSeries is immutable")
-        object.__setattr__(self, name, value)
+    __setattr__ = _immutable("parts")
 
     def part(self, k: int) -> Series:
         if k in self.parts:
@@ -746,29 +789,21 @@ class QSeries:
             raise RegistryMismatch("operands live over different variable registries")
         trunc = min(self.trunc, other.trunc)
         order = min(self.order, other.order)
-        parts: dict[int, Series] = {}
+        # part r has degree N*r, so a product kept here is never truncated
+        sums: dict[int, dict] = {}
         for i, pa in self.parts.items():
             for j, pb in other.parts.items():
                 r = i + j
-                if r > order or r * self.registry.modulus > trunc:
-                    continue
-                prod = pa.with_trunc(trunc) * pb.with_trunc(trunc)
-                if prod.is_zero():
-                    continue
-                parts[r] = parts[r] + prod if r in parts else prod
-        parts = {k: p for k, p in parts.items() if not p.is_zero()}
+                if r <= order and r * self.registry.modulus <= trunc:
+                    _padd_into(sums.setdefault(r, {}), _tmul(pa.terms, pb.terms))
+        parts = {r: Series(self.registry, trunc, t, _checked=True) for r, t in sums.items() if t}
         return QSeries(self.registry, trunc, order, parts, _checked=True)
 
     def to_text(self) -> str:
         lines = []
         for k in sorted(self.parts):
             lines.append(f"q^{k}:")
-            for exps, c in self.parts[k].sorted_terms():
-                f = Fraction(c)
-                mono = " ".join(
-                    f"{name}^{e}" for name, e in zip(self.registry.names, exps) if e
-                )
-                lines.append(f"  {f.numerator}/{f.denominator} {mono}".rstrip())
+            lines.extend(self.parts[k]._term_lines("  "))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -798,7 +833,7 @@ def e_transform(f: Series) -> QSeries:
 
 def e_inverse(h: QSeries) -> Series:
     """Undo e_transform: replace q^k/k! by 1, i.e. sum k! * part_k."""
-    acc = Series.zero(h.registry, h.trunc)
+    acc: dict = {}
     for k, part in h.parts.items():
-        acc = acc + part.scale(math.factorial(k))
-    return acc
+        _padd_into(acc, part.terms, math.factorial(k))
+    return Series(h.registry, h.trunc, acc, _checked=True)

@@ -130,10 +130,12 @@ class MomentEngine:
     pure, so concurrent use is safe at worst at the price of duplicate work.
 
     The recursion takes one stack frame per level, and each level removes
-    one T* and one T, so the depth grows with the key's entries: keys whose
-    largest entries are near 1000 exceed the interpreter's default
-    recursion limit and raise RecursionError, which the CLI reports as a
-    one-line computation failure with exit code 1.
+    one T* and one T, so the depth follows m, the sum of the k-entries, not
+    the largest entry: keys with m near 1000 exceed the interpreter's
+    default recursion limit and raise RecursionError, which the CLI reports
+    as a one-line computation failure with exit code 1.  (490, 490, 490,
+    490) with m = 980 still works; (500, 500, 500, 500) with m = 1000 does
+    not.
     """
 
     def __init__(self, memo_limit: int | None = None):

@@ -18,12 +18,19 @@ from functools import lru_cache
 from .fps import (
     Series,
     VariableRegistry,
-    _norm_coeff,
+    _clean_terms,
+    _immutable,
+    _json_terms,
+    _order_key,
     _Packing,
     _padd_into,
     _pdiv_one_minus,
     _pmul_trunc,
     _pshift,
+    _split,
+    _tmul,
+    _tremap,
+    _tscale,
 )
 
 
@@ -102,28 +109,9 @@ class SymPoly:
         if len(set(symbols)) != len(symbols):
             raise ValueError("symbols must be distinct")
         self.symbols = symbols
-        if _checked:
-            self.terms = terms
-            return
-        size = len(symbols)
-        clean: dict = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for exps, c in items:
-            exps = tuple(exps)
-            if len(exps) != size or any(not isinstance(x, int) or x < 0 for x in exps):
-                raise ValueError(f"bad exponent tuple {exps} for {size} symbols")
-            c = _norm_coeff(c)
-            if c == 0:
-                continue
-            clean[exps] = clean.get(exps, 0) + c
-            if clean[exps] == 0:
-                del clean[exps]
-        self.terms = clean
+        self.terms = terms if _checked else _clean_terms(terms, len(symbols))
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "terms"):
-            raise AttributeError("SymPoly is immutable")
-        object.__setattr__(self, name, value)
+    __setattr__ = _immutable("terms")
 
     # -- constructors --
 
@@ -155,10 +143,7 @@ class SymPoly:
         return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])),
-        )
+        return sorted(self.terms.items(), key=_order_key)
 
     def _require_same(self, other: "SymPoly") -> None:
         if self.symbols != other.symbols:
@@ -185,7 +170,7 @@ class SymPoly:
         return SymPoly(self.symbols, terms, _checked=True)
 
     def __neg__(self):
-        return SymPoly(self.symbols, {e: -c for e, c in self.terms.items()}, _checked=True)
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, SymPoly):
@@ -194,30 +179,14 @@ class SymPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _norm_coeff(other)
-            terms = {e: v * c for e, v in self.terms.items()} if c else {}
+            terms = _tscale(self.terms, other, len(self.symbols))
             return SymPoly(self.symbols, terms, _checked=True)
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._require_same(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return SymPoly(self.symbols, out, _checked=True)
+        return SymPoly(self.symbols, _tmul(self.terms, other.terms), _checked=True)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     # -- structure --
 
@@ -226,9 +195,11 @@ class SymPoly:
         used = [i for i in range(len(self.symbols)) if any(e[i] for e in self.terms)]
         if len(used) == len(self.symbols):
             return self
+        where: list = [None] * len(self.symbols)
+        for j, i in enumerate(used):
+            where[i] = j
         syms = tuple(self.symbols[i] for i in used)
-        terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        return SymPoly(syms, terms, _checked=True)
+        return SymPoly(syms, _tremap(self.terms, where, len(syms)), _checked=True)
 
     def with_symbols(self, symbols, rename=None) -> "SymPoly":
         """Re-express over another symbol tuple.  ``rename`` maps old names
@@ -243,18 +214,7 @@ class SymPoly:
             if t not in pos:
                 raise ValueError(f"symbol {t!r} missing from the target tuple")
             where.append(pos[t])
-        out: dict = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(symbols)
-            for w, x in zip(where, e):
-                ne[w] += x
-            key = tuple(ne)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return SymPoly(symbols, out, _checked=True)
+        return SymPoly(symbols, _tremap(self.terms, where, len(symbols)), _checked=True)
 
     # -- rendering --
 
@@ -270,28 +230,24 @@ class SymPoly:
                 for s, x in zip(self.symbols, e)
                 if x
             )
-            f = Fraction(c)
-            mag = abs(f)
-            if not mono:
-                body = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            num, den = _split(c)
+            mag = abs(num)
+            if den != 1:
+                body = f"({mag}/{den}){mono}" if mono else f"{mag}/{den}"
+            elif not mono:
+                body = str(mag)
             elif mag == 1:
                 body = mono
-            elif mag.denominator == 1:
-                body = f"{mag.numerator}{mono}"
             else:
-                body = f"({mag.numerator}/{mag.denominator}){mono}"
+                body = f"{mag}{mono}"
             if not pieces:
-                pieces.append(body if f > 0 else f"-{body}")
+                pieces.append(body if num > 0 else f"-{body}")
             else:
-                pieces.append(("+ " if f > 0 else "- ") + body)
+                pieces.append(("+ " if num > 0 else "- ") + body)
         return " ".join(pieces)
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for e, c in self.sorted_terms():
-            f = Fraction(c)
-            terms.append({"exps": list(e), "num": f.numerator, "den": f.denominator})
-        return {"symbols": list(self.symbols), "terms": terms}
+        return {"symbols": list(self.symbols), "terms": _json_terms(self.terms)}
 
 
 # -- the universal numerator polynomials ----------------------------------------------
@@ -412,14 +368,15 @@ def form_id(form: Series) -> str:
     pieces = []
     for exps, c in form.sorted_terms():
         mono = _display_mono(form.registry, exps)
-        f = Fraction(c)
-        if f == 1:
+        num, den = _split(c)
+        if den != 1:
+            body = f"{num}/{den}{mono}"
+        elif num == 1:
             body = mono or "1"
-        elif f == -1:
+        elif num == -1:
             body = f"-{mono or '1'}"
         else:
-            s = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-            body = f"{s}{mono}" if mono else s
+            body = f"{num}{mono}"
         pieces.append(body)
     return "+".join(pieces).replace("+-", "-")
 
@@ -455,16 +412,11 @@ class FormTable:
             self.forms[fid] = form.with_trunc(self.registry.modulus)
         return fid
 
-    def merged(self, *others: "FormTable") -> "FormTable":
-        """A new table: this table's forms, then each other table's new ones,
-        copied by key without rendering any id again."""
+    def copy(self) -> "FormTable":
+        """A new table with this table's forms, copied by key without
+        rendering any id again."""
         out = FormTable(self.registry)
         out.forms.update(self.forms)
-        for other in others:
-            if other.registry != self.registry:
-                raise ValueError("form tables live over different variable registries")
-            for fid, f in other.forms.items():
-                out.forms.setdefault(fid, f)
         return out
 
     def get(self, fid: str) -> Series:
@@ -476,6 +428,15 @@ class FormTable:
     def display_names(self) -> dict[str, str]:
         """Stable short aliases u1, u2, ... in insertion order."""
         return {fid: f"u{i}" for i, fid in enumerate(self.forms, start=1)}
+
+
+def _check_prefix(registry: VariableRegistry, prefix: tuple) -> None:
+    if len(prefix) != registry.size:
+        raise ValueError("prefix exponents do not match the registry")
+    if any(not isinstance(x, int) or x < 0 for x in prefix):
+        raise ValueError(f"prefix exponents must be nonnegative integers, got {prefix}")
+    if sum(prefix) % registry.modulus != 0:
+        raise ValueError("prefix degree breaks the support constraint")
 
 
 @dataclass(frozen=True)
@@ -501,10 +462,7 @@ class RationalExpr:
         if table.registry != registry:
             raise ValueError("form table registry differs from the expression registry")
         for t in terms:
-            if len(t.prefix) != registry.size:
-                raise ValueError("prefix exponents do not match the registry")
-            if sum(t.prefix) % registry.modulus != 0:
-                raise ValueError("prefix degree breaks the support constraint")
+            _check_prefix(registry, t.prefix)
             for fid in t.denominator:
                 if fid not in table:
                     raise ValueError(f"denominator id {fid!r} missing from the form table")
@@ -513,10 +471,7 @@ class RationalExpr:
                     raise ValueError(f"numerator symbol {s!r} missing from the form table")
         self.terms = tuple(terms)
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "terms"):
-            raise AttributeError("RationalExpr is immutable")
-        object.__setattr__(self, name, value)
+    __setattr__ = _immutable("terms")
 
     # -- constructors --
 
@@ -582,7 +537,7 @@ class RationalExpr:
         its terms are in."""
         exprs = iter(exprs)
         first = next(exprs)
-        table = first.table.merged()
+        table = first.table.copy()
 
         def terms():
             yield from first.terms
@@ -602,17 +557,18 @@ class RationalExpr:
 
     def scale_prefix(self, exps) -> "RationalExpr":
         exps = tuple(exps)
+        _check_prefix(self.registry, exps)
         terms = [
             RationalTerm(
                 tuple(a + b for a, b in zip(t.prefix, exps)), t.numerator, t.denominator
             )
             for t in self.terms
         ]
-        return RationalExpr(self.registry, self.table, terms)
+        return RationalExpr(self.registry, self.table, terms, _checked=True)
 
     def with_denominator(self, form: Series) -> "RationalExpr":
         """Multiply the whole expression by 1/(1 - form)."""
-        table = self.table.merged()
+        table = self.table.copy()
         fid = table.add(form)
         terms = [
             RationalTerm(t.prefix, t.numerator, tuple(sorted(t.denominator + (fid,))))
@@ -629,13 +585,12 @@ class RationalExpr:
         where = [target.index(name_map[name]) for name in self.registry.names]
         terms = []
         for t in self.terms:
-            prefix = [0] * target.size
-            for w, e in zip(where, t.prefix):
-                prefix[w] = e
+            # the prefix is one monomial: remapped as a one-term dict
+            (prefix,) = _tremap({t.prefix: 1}, where, target.size)
             new_syms = tuple(sorted({rename[s] for s in t.numerator.symbols}))
             num = t.numerator.with_symbols(new_syms, rename)
             den = tuple(sorted(rename[fid] for fid in t.denominator))
-            terms.append(RationalTerm(tuple(prefix), num, den))
+            terms.append(RationalTerm(prefix, num, den))
         return RationalExpr(target, table, terms, _checked=True)
 
     # -- evaluation --

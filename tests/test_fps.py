@@ -276,6 +276,10 @@ def test_rename_and_shift():
         g.shift((1, 0, 0, 0))  # odd degree breaks the support constraint
     with pytest.raises(ValueError):
         f.rename(ZW2, {"z1": "z2"})
+    with pytest.raises(ValueError, match="injective"):
+        f.rename(ZW2, {"z1": "z2", "w1": "z2"})
+    with pytest.raises(ValueError, match="modulus"):
+        f.rename(VariableRegistry(("z1", "w1", "z2"), 1), {"z1": "z1", "w1": "w1"})
 
 
 def test_with_trunc_drops_or_extends():

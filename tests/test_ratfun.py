@@ -55,6 +55,25 @@ def test_sympoly_arithmetic_and_pretty():
     assert SymPoly.zero(p.symbols).pretty() == "0"
 
 
+def test_sympoly_constructor_validates_every_term():
+    with pytest.raises(ValueError, match="distinct"):
+        SymPoly(("a", "a"))
+    for exps in [(1,), (1, 0, 0), (-1, 1), (0.5, 0), ("1", 0)]:
+        with pytest.raises(ValueError):
+            SymPoly(("a", "b"), {exps: 1})
+    with pytest.raises(TypeError):
+        SymPoly(("a", "b"), {(1, 0): 0.5})
+    assert SymPoly(("a", "b"), [((1, 0), 2), ((1, 0), -2), ((0, 1), 0)]).is_zero()
+
+
+def test_sympoly_is_immutable():
+    p = SymPoly.symbol(("a", "b"), "a")
+    with pytest.raises(AttributeError, match="SymPoly is immutable"):
+        p.terms = {}
+    with pytest.raises(AttributeError):
+        p.symbols = ("c", "d")
+
+
 def test_sympoly_with_symbols_can_merge():
     p = sp(1, 1, {"u1 v1": 3})
     merged = p.with_symbols(("a",), {"u1": "a", "v1": "a"})
@@ -294,6 +313,8 @@ def test_form_table_dedupes_and_aliases():
     assert table.add(u) == id_u
     assert list(table.forms) == [id_u, id_v]
     assert table.display_names() == {id_u: "u1", id_v: "u2"}
+    copy = table.copy()
+    assert copy.forms == table.forms and copy.forms is not table.forms
     with pytest.raises(ValueError):
         table.add(geometric(u, 4))  # not homogeneous of degree 2
 
@@ -548,6 +569,8 @@ def test_public_constructor_validates_every_term():
     bad = [
         (RationalTerm((1, 0, 0), t.numerator, t.denominator), "prefix exponents"),
         (RationalTerm((1, 0, 0, 0), t.numerator, t.denominator), "support constraint"),
+        (RationalTerm((-1, 0, 0, 1), t.numerator, t.denominator), "nonnegative"),
+        (RationalTerm((0.5, 0, 0, 1.5), t.numerator, t.denominator), "nonnegative"),
         (RationalTerm(t.prefix, t.numerator, ("z1w2+z2w1",)), "denominator id"),
         (RationalTerm(t.prefix, SymPoly.symbol(("z1w2+z2w1",), "z1w2+z2w1"), t.denominator),
          "numerator symbol"),
@@ -555,6 +578,10 @@ def test_public_constructor_validates_every_term():
     for term, message in bad:
         with pytest.raises(ValueError, match=message):
             RationalExpr(ZW2, good.table, [term])
+    for exps, message in [((-1, 0, 0, 1), "nonnegative"), ((1, 0, 0), "prefix exponents"),
+                          ((1, 0, 0, 0), "support constraint")]:
+        with pytest.raises(ValueError, match=message):
+            good.scale_prefix(exps)
 
 
 def test_substitute_into_larger_registry():
