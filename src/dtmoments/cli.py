@@ -34,7 +34,7 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_moment(args) -> None:
     key = parse_key(args.key)
-    engine = MomentEngine(memo_limit=args.memo_limit)
+    engine = MomentEngine()
     n = engine.n_value(key)
     m_frac = engine.moment(key) if min(key) >= 0 else None
     if args.output == "json":
@@ -179,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("moment", _cmd_moment, "N and M of one moment key")
     p.add_argument("--key", required=True, help="flat key, e.g. 1,1,2,0")
-    p.add_argument("--memo-limit", type=int, default=None, help="cap memo entries")
 
     p = add("series", _cmd_series, "truncated generating function")
     p.add_argument("--n", type=int, required=True, help="variable pairs")

@@ -139,6 +139,21 @@ def _tremap(terms: dict, where, size: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _rename_positions(source, target, mapping) -> list:
+    """The target position of each source variable under ``mapping``, once
+    the checks every renaming runs have passed: both registries share one
+    modulus, the mapping covers exactly the source names, and it sends
+    them to distinct target names."""
+    if source.modulus != target.modulus:
+        raise ValueError("variable renaming cannot change the degree modulus")
+    if set(mapping) != set(source.names):
+        raise ValueError("mapping must cover exactly the source variables")
+    images = list(mapping.values())
+    if len(set(images)) != len(images):
+        raise ValueError("mapping must be injective")
+    return [target.index(mapping[name]) for name in source.names]
+
+
 def _order_key(term) -> tuple:
     """The canonical term order: by total degree, then by exponent tuple
     with earlier variables first."""
@@ -373,14 +388,7 @@ class Series:
         ``mapping`` sends each source name to a distinct target name; the
         degree structure is untouched, so both registries must share N.
         """
-        if self.registry.modulus != target.modulus:
-            raise ValueError("variable renaming cannot change the degree modulus")
-        if set(mapping) != set(self.registry.names):
-            raise ValueError("mapping must cover exactly the source variables")
-        images = list(mapping.values())
-        if len(set(images)) != len(images):
-            raise ValueError("mapping must be injective")
-        where = [target.index(mapping[name]) for name in self.registry.names]
+        where = _rename_positions(self.registry, target, mapping)
         return Series(target, self.trunc, _tremap(self.terms, where, target.size), _checked=True)
 
     def shift(self, exps, coeff=1) -> "Series":

@@ -49,18 +49,15 @@ def _mono_exps(registry: VariableRegistry, names) -> tuple:
     return tuple(e)
 
 
-def _pair_form(registry: VariableRegistry, x: str, y: str) -> Series:
-    return Series(registry, 2, {_mono_exps(registry, (x, y)): 1})
-
-
 def _split_factors(n: int):
     """Factor blueprints for every term of the recursion at n >= 2.
 
     Yields, per term, the list of (pairs, prefix) blueprints: ``pairs`` is
     the ordered variable-pair list the lower-order F is evaluated on, and
-    ``prefix`` is the two-variable monomial in front (unused when the
-    factor is a single pair, where the prefix and the geometric pole
-    cancel).  Variable names are 1-based like the registry's.
+    ``prefix`` is the two-variable monomial in front.  A single-pair factor
+    is F_1 placed on its pair, with the prefix unused: there the prefix and
+    the geometric pole cancel.  Variable names are 1-based like the
+    registry's.
     """
     for r in range(2, n + 1):
         for js in combinations(range(n), r):
@@ -97,14 +94,9 @@ def f_series(n: int, D: int) -> Series:
 def _packed_f(n: int, D: int, memo: dict) -> dict:
     """F_n packed in the _Packing(2n, D) layout; lower orders go to ``memo``."""
     if n not in memo:
-        registry = _registry(n)
         packing = _Packing(2 * n, D)
-        if n == 1:
-            rhs = {0: 1}
-            form = _pair_form(registry, "z1", "w1")
-        else:
-            rhs = _packed_rhs(n, D, memo)
-            form = identity_form(registry)
+        rhs = {0: 1} if n == 1 else _packed_rhs(n, D, memo)
+        form = identity_form(_registry(n))
         memo[n] = _pdiv_one_minus(rhs, packing.pack(form.terms, D), packing.top, D)
     return memo[n]
 
@@ -125,24 +117,22 @@ def _packed_rhs(n: int, D: int, memo: dict) -> dict:
 
 def _packed_factor(registry, pairs, prefix, D: int, memo: dict) -> dict:
     packing = _Packing(registry.size, D)
-    if len(pairs) == 1:
-        form = {packing.mono(_mono_exps(registry, pairs[0])): 1}
-        return _pdiv_one_minus({0: 1}, form, packing.top, D)
     m = len(pairs)
     where = [registry.index(name) for pair in pairs for name in pair]
     inner = _premap(_packed_f(m, D, memo), _Packing(2 * m, D), packing, where)
+    if m == 1:
+        return inner
     return _pshift(inner, packing.mono(_mono_exps(registry, prefix)), packing.top, D)
 
 
 def _rational_factor(registry, pairs, prefix) -> RationalExpr:
-    if len(pairs) == 1:
-        x, y = pairs[0]
-        return RationalExpr.geometric_term(registry, _pair_form(registry, x, y))
     mapping = {}
     for i, (x, y) in enumerate(pairs, start=1):
         mapping[f"z{i}"] = x
         mapping[f"w{i}"] = y
     inner = f_rational(len(pairs)).substitute(registry, mapping)
+    if len(pairs) == 1:
+        return inner
     return inner.scale_prefix(_mono_exps(registry, prefix))
 
 
@@ -158,7 +148,7 @@ def f_rational(n: int) -> RationalExpr:
         raise ValueError("need at least one variable pair")
     registry = _registry(n)
     if n == 1:
-        return RationalExpr.geometric_term(registry, _pair_form(registry, "z1", "w1"))
+        return RationalExpr.geometric_term(registry, identity_form(registry))
 
     def split_terms():
         for factors in _split_factors(n):
@@ -220,12 +210,9 @@ def check_conjecture(n: int, K: int) -> dict:
     probability theory", J. Combin. Theory Ser. A 101 (2003).  The checker
     stays as a regression oracle for the moment recursion.
     """
-    if n < 1 or K < 0:
-        raise ValueError("need n >= 1 and K >= 0")
     rows = []
     first = None
-    for k in range(K + 1):
-        computed = n_value((k,) * (2 * n))
+    for k, computed in enumerate(h_diagonal(n, K).coefficients):
         expected = n ** (n * k)
         match = computed == expected
         if not match and first is None:

@@ -125,9 +125,8 @@ class MomentEngine:
     """Memoized evaluator for the moment recursion.
 
     Memo keys are canonicalized, so one cached value serves a whole
-    symmetry orbit.  ``memo_limit`` caps the number of stored entries; past
-    the cap new values are still computed, just not retained.  Lookups are
-    pure, so concurrent use is safe at worst at the price of duplicate work.
+    symmetry orbit, and every computed value is kept.  Lookups are pure, so
+    concurrent use is safe at worst at the price of duplicate work.
 
     The recursion takes one stack frame per level, and each level removes
     one T* and one T, so the depth follows m, the sum of the k-entries, not
@@ -138,10 +137,7 @@ class MomentEngine:
     not.
     """
 
-    def __init__(self, memo_limit: int | None = None):
-        if memo_limit is not None and memo_limit < 0:
-            raise ValueError("memo_limit must be None or >= 0")
-        self.memo_limit = memo_limit
+    def __init__(self):
         self._memo: dict[tuple, int] = {}
 
     @property
@@ -206,8 +202,7 @@ class MomentEngine:
                     t += p
                     w *= math.comb(t, p)
                 total += w * prod
-        if self.memo_limit is None or len(self._memo) < self.memo_limit:
-            self._memo[mk] = total
+        self._memo[mk] = total
         return total
 
 

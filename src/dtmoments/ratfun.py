@@ -27,6 +27,7 @@ from .fps import (
     _pdiv_one_minus,
     _pmul_trunc,
     _pshift,
+    _rename_positions,
     _split,
     _tmul,
     _tremap,
@@ -189,17 +190,6 @@ class SymPoly:
     __rmul__ = __mul__
 
     # -- structure --
-
-    def restricted(self) -> "SymPoly":
-        """Drop symbols that appear in no term."""
-        used = [i for i in range(len(self.symbols)) if any(e[i] for e in self.terms)]
-        if len(used) == len(self.symbols):
-            return self
-        where: list = [None] * len(self.symbols)
-        for j, i in enumerate(used):
-            where[i] = j
-        syms = tuple(self.symbols[i] for i in used)
-        return SymPoly(syms, _tremap(self.terms, where, len(syms)), _checked=True)
 
     def with_symbols(self, symbols, rename=None) -> "SymPoly":
         """Re-express over another symbol tuple.  ``rename`` maps old names
@@ -483,9 +473,6 @@ class RationalExpr:
         ids = sorted(table.add(f) for f in denominators)
         if isinstance(numerator, (int, Fraction)):
             numerator = SymPoly.constant((), numerator)
-        for s in numerator.symbols:
-            if s not in table:
-                raise ValueError(f"numerator symbol {s!r} is not a registered form id")
         term = RationalTerm(tuple(prefix), numerator, tuple(ids))
         return cls(registry, table, [term])
 
@@ -577,12 +564,15 @@ class RationalExpr:
         return RationalExpr(self.registry, table, terms, _checked=True)
 
     def substitute(self, target: VariableRegistry, name_map: dict) -> "RationalExpr":
-        """Rename variables into another registry; form ids are recomputed."""
+        """Rename variables into another registry; form ids are recomputed.
+        ``name_map`` runs Series.rename's checks once per call, so an
+        expression without forms is checked too."""
+        where = _rename_positions(self.registry, target, name_map)
         table = FormTable(target)
         rename: dict[str, str] = {}
         for fid, f in self.table.forms.items():
-            rename[fid] = table.add(f.rename(target, name_map))
-        where = [target.index(name_map[name]) for name in self.registry.names]
+            form = Series(target, f.trunc, _tremap(f.terms, where, target.size), _checked=True)
+            rename[fid] = table.add(form)
         terms = []
         for t in self.terms:
             # the prefix is one monomial: remapped as a one-term dict
@@ -771,7 +761,18 @@ def _odot_pair(
                 e += base
                 acc[e] = get(e, 0) + c * pc
     acc = {e: c for e, c in acc.items() if c}
-    num = SymPoly(out_syms, packing.unpack(acc), _checked=True).restricted()
+    # unpack onto the fields that some term uses: OR-ing the keys shows them
+    used = 0
+    for e in acc:
+        used |= e
+    mask = packing.mask
+    fields = [(s, w) for s, w in zip(out_syms, packing.shifts) if (used >> w) & mask]
+    shifts = [w for _, w in fields]
+    num = SymPoly(
+        tuple(s for s, _ in fields),
+        {tuple([(e >> w) & mask for w in shifts]): c for e, c in acc.items()},
+        _checked=True,
+    )
 
     for fid, s in cells:
         table._add_keyed(fid, s)

@@ -224,7 +224,12 @@ def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalT
     for i in range(m):
         for j in range(n):
             table._add_keyed(sum_ids[i][j], sums[i][j])
-    acc = acc.restricted()
+    # drop the symbols that no term uses
+    used = [i for i in range(len(acc.symbols)) if any(e[i] for e in acc.terms)]
+    acc = SymPoly(
+        tuple(acc.symbols[i] for i in used),
+        {tuple(e[i] for i in used): c for e, c in acc.terms.items()},
+    )
     for s in acc.symbols:
         table._add_keyed(s, forms1[s] if s in forms1 else forms2[s])
     prefix = tuple(a + b for a, b in zip(t1.prefix, t2.prefix))

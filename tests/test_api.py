@@ -2,14 +2,20 @@
 
 Test-only routes (the undivided numerator Q, the raw-key recursion, the
 direct multinomial product) live in tests/oracles.py, not in the package.
+README's library and command-line examples run as written, and every name
+a package module imports is used there or exported.
 """
 
+import ast
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import dtmoments
-from dtmoments import fps, genfun, moments, ratfun
+from dtmoments import cli, fps, genfun, moments, ratfun
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "DiagonalSeries",
@@ -82,13 +88,70 @@ def test_test_only_routes_stay_out_of_the_package():
         for module in (dtmoments, fps, moments, ratfun, genfun):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(ratfun.SymPoly, "times_monomial")
+    assert not hasattr(ratfun.SymPoly, "restricted")
     assert not hasattr(ratfun.SymPoly, "substitute_series")
-    # the engine always canonicalizes; raw keys are the oracle's job
-    assert list(inspect.signature(moments.MomentEngine).parameters) == ["memo_limit"]
+    # the engine always canonicalizes and keeps its memo; raw keys are the
+    # oracle's job
+    assert list(inspect.signature(moments.MomentEngine).parameters) == []
 
 
 def test_readme_library_block_runs_as_written():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    blocks = [b for b in blocks if re.search(r"^dtmoments ", b, re.M)]
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)  # `> f1.series` writes here
+    out = None
+    ran = checked = 0
+    for line in blocks[0].splitlines():
+        if line.startswith("dtmoments "):
+            argv = shlex.split(line)[1:]
+            target = None
+            if ">" in argv:
+                i = argv.index(">")
+                argv, target = argv[:i], argv[i + 1]
+            assert cli.main(argv) == 0, line
+            out = capsys.readouterr().out
+            if target is not None:
+                Path(target).write_text(out, encoding="ascii")
+            ran += 1
+        elif line.startswith("# -> "):
+            assert out == line[len("# -> ") :] + "\n", line
+            checked += 1
+    assert ran >= 10 and checked >= 2
+
+
+def _imports_and_exports(tree: ast.Module):
+    bound = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return bound, exported
+
+
+def test_every_imported_name_is_used_or_exported():
+    package = Path(dtmoments.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, exported = _imports_and_exports(tree)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in bound.items()
+            if name not in used and name not in exported
+        ]
+    assert unused == []

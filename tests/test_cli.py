@@ -45,13 +45,6 @@ def test_moment_with_negative_entry_reports_n_only(capsys):
     assert json.loads(out)["moment"] is None
 
 
-def test_moment_memo_limit_flag(capsys):
-    code, out, _ = run(capsys, "moment", "--key", "2,1,1,2,1,1", "--memo-limit", "0")
-    assert code == 0
-    base, _, _ = run(capsys, "moment", "--key", "2,1,1,2,1,1")
-    assert base == 0
-
-
 def test_moment_bad_key_is_usage_error(capsys):
     code, out, err = run(capsys, "moment", "--key", "1,2,foo")
     assert code == 2

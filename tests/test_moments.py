@@ -215,18 +215,3 @@ def test_values_are_nonnegative_integers():
             for key in balanced_keys(n, m):
                 v = engine.n_value(key)
                 assert isinstance(v, int) and v >= 0
-
-
-def test_memo_limit_caps_storage_without_changing_values():
-    unlimited = MomentEngine()
-    capped = MomentEngine(memo_limit=2)
-    none_stored = MomentEngine(memo_limit=0)
-    key = (2, 1, 1, 2, 1, 1)
-    expected = unlimited.n_value(key)
-    assert capped.n_value(key) == expected
-    assert none_stored.n_value(key) == expected
-    assert capped.memo_size <= 2
-    assert none_stored.memo_size == 0
-    assert unlimited.memo_size > 2
-    with pytest.raises(ValueError):
-        MomentEngine(memo_limit=-1)

@@ -24,7 +24,7 @@ from dtmoments.ratfun import (
     permutation_form,
     uv_symbols,
 )
-from dtmoments import genfun
+from dtmoments import genfun, ratfun
 from conftest import ZW2, ZW3
 from oracles import expand_by_geometric, odot_closed_by_products, q_polynomial
 
@@ -578,6 +578,9 @@ def test_public_constructor_validates_every_term():
     for term, message in bad:
         with pytest.raises(ValueError, match=message):
             RationalExpr(ZW2, good.table, [term])
+    stray = SymPoly.symbol(("z1w2+z2w1",), "z1w2+z2w1")
+    with pytest.raises(ValueError, match="numerator symbol .* missing from the form table"):
+        RationalExpr.single(ZW2, t.prefix, stray, [identity_form(ZW2)])
     for exps, message in [((-1, 0, 0, 1), "nonnegative"), ((1, 0, 0), "prefix exponents"),
                           ((1, 0, 0, 0), "support constraint")]:
         with pytest.raises(ValueError, match=message):
@@ -591,6 +594,22 @@ def test_substitute_into_larger_registry():
     t = sub.terms[0]
     assert t.prefix == (1, 0, 0, 0, 0, 1)
     assert t.denominator == (form_id(Series(ZW3, 2, {(1, 0, 0, 1, 0, 0): 1, (0, 0, 0, 0, 1, 1): 1})),)
+
+
+def test_substitute_checks_its_map_once_with_or_without_forms(monkeypatch):
+    bare = RationalExpr.single(ZW2, (1, 0, 0, 1), 1, [])
+    with pytest.raises(ValueError, match="injective"):
+        bare.substitute(ZW2, {"z1": "z1", "w1": "z1", "z2": "z2", "w2": "z1"})
+    with pytest.raises(ValueError, match="cover"):
+        bare.substitute(ZW2, {"z1": "z1", "z2": "z2", "w2": "w2"})
+    calls = []
+    check = ratfun._rename_positions
+    monkeypatch.setattr(ratfun, "_rename_positions", lambda *a: calls.append(a) or check(*a))
+    forms = [identity_form(ZW2), permutation_form(ZW2, (1, 0))]
+    two_forms = RationalExpr.single(ZW2, (0, 0, 0, 0), 1, forms)
+    swap = {"z1": "z2", "w1": "w2", "z2": "z1", "w2": "w1"}
+    assert two_forms.substitute(ZW2, swap) == two_forms
+    assert len(calls) == 1
 
 
 def test_pretty_and_json_shape():
