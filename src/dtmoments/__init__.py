@@ -35,7 +35,6 @@ from .ratfun import (
     permutation_form,
 )
 from .genfun import (
-    DiagonalSeries,
     check_conjecture,
     check_n3_identity,
     f_rational,
@@ -47,7 +46,6 @@ from .genfun import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiagonalSeries",
     "DistinctnessViolation",
     "ExactDivisionError",
     "FormTable",

@@ -105,8 +105,7 @@ def _cmd_diagonal(args) -> None:
     if args.kind == "g":
         if args.D is None:
             raise ValueError("diagonal --kind g needs --D")
-        diag = g_diagonal(args.n, args.D)
-        rows = sorted(diag.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        rows = sorted(g_diagonal(args.n, args.D).items(), key=lambda kv: (sum(kv[0]), kv[0]))
         if args.output == "json":
             _emit_json(
                 {
@@ -124,13 +123,11 @@ def _cmd_diagonal(args) -> None:
     else:
         if args.K is None:
             raise ValueError("diagonal --kind h needs --K")
-        diag = h_diagonal(args.n, args.K)
+        coeffs = h_diagonal(args.n, args.K)
         if args.output == "json":
-            _emit_json(
-                {"n": args.n, "kind": "h", "K": args.K, "coefficients": diag.coefficients}
-            )
+            _emit_json({"n": args.n, "kind": "h", "K": args.K, "coefficients": coeffs})
         else:
-            for k, v in enumerate(diag.coefficients):
+            for k, v in enumerate(coeffs):
                 print(f"{k} {v}")
 
 

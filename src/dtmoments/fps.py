@@ -143,7 +143,7 @@ def _rename_positions(source, target, mapping) -> list:
     """The target position of each source variable under ``mapping``, once
     the checks every renaming runs have passed: both registries share one
     modulus, the mapping covers exactly the source names, and it sends
-    them to distinct target names."""
+    them to distinct names that the target holds."""
     if source.modulus != target.modulus:
         raise ValueError("variable renaming cannot change the degree modulus")
     if set(mapping) != set(source.names):
@@ -151,7 +151,10 @@ def _rename_positions(source, target, mapping) -> list:
     images = list(mapping.values())
     if len(set(images)) != len(images):
         raise ValueError("mapping must be injective")
-    return [target.index(mapping[name]) for name in source.names]
+    try:
+        return [target.index(mapping[name]) for name in source.names]
+    except KeyError as err:  # an image the target registry lacks
+        raise ValueError(err.args[0]) from None
 
 
 def _order_key(term) -> tuple:

@@ -9,7 +9,6 @@ closed rational form (ratfun core) -- and extracts the diagonal series
 plus the conjecture checkers built on them.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -27,7 +26,6 @@ from .moments import multinomial, n_value
 from .ratfun import RationalExpr, identity_form, odot_closed
 
 __all__ = [
-    "DiagonalSeries",
     "check_conjecture",
     "check_n3_identity",
     "f_rational",
@@ -164,19 +162,11 @@ def f_rational(n: int) -> RationalExpr:
 # -- diagonals ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalSeries:
-    """Diagonal coefficient data: for kind 'g' a mapping multi-index ->
-    N(k1,k1,...,kn,kn); for kind 'h' the list over k of N(k,...,k)."""
-
-    n: int
-    kind: str
-    coefficients: object
-
-
-def g_diagonal(n: int, D: int) -> DiagonalSeries:
+def g_diagonal(n: int, D: int) -> dict:
     """Coefficients of the diagonal generating function in x1..xn, read off
-    f_series at the exponents with ki = li, up to total z/w-degree D."""
+    f_series at the exponents with ki = li, up to total z/w-degree D: a
+    dict {(k1, ..., kn): N(k1,k1,...,kn,kn)} over every multi-index with
+    2(k1 + ... + kn) <= D."""
     fs = f_series(n, D)
     out = {}
     for ks in product(range(D // 2 + 1), repeat=n):
@@ -187,16 +177,15 @@ def g_diagonal(n: int, D: int) -> DiagonalSeries:
             exps.append(k)
             exps.append(k)
         out[ks] = fs.terms.get(tuple(exps), 0)
-    return DiagonalSeries(n, "g", out)
+    return out
 
 
-def h_diagonal(n: int, K: int) -> DiagonalSeries:
-    """The fully diagonal coefficients N(k,k,...,k) for k <= K, computed
-    through the moment recursion so large k stays cheap."""
+def h_diagonal(n: int, K: int) -> list:
+    """The fully diagonal coefficients as a list [N(k,k,...,k) for k in
+    0..K], computed through the moment recursion so large k stays cheap."""
     if n < 1 or K < 0:
         raise ValueError("need n >= 1 and K >= 0")
-    coeffs = [n_value((k,) * (2 * n)) for k in range(K + 1)]
-    return DiagonalSeries(n, "h", coeffs)
+    return [n_value((k,) * (2 * n)) for k in range(K + 1)]
 
 
 # -- conjecture checkers ------------------------------------------------------------
@@ -212,7 +201,7 @@ def check_conjecture(n: int, K: int) -> dict:
     """
     rows = []
     first = None
-    for k, computed in enumerate(h_diagonal(n, K).coefficients):
+    for k, computed in enumerate(h_diagonal(n, K)):
         expected = n ** (n * k)
         match = computed == expected
         if not match and first is None:

@@ -373,33 +373,23 @@ def form_id(form: Series) -> str:
 
 class FormTable:
     """Insertion-ordered registry of concrete degree-N forms keyed by their
-    canonical ids.  Invariant: every key equals form_id of its form, so a
-    form taken from a table never needs its id rendered again."""
+    canonical ids.  ``add`` is the only place the package renders an id, so
+    every key equals form_id of its form; a form already in some table moves
+    to another by its key, never rendered again."""
 
     def __init__(self, registry: VariableRegistry):
         self.registry = registry
         self.forms: dict[str, Series] = {}
 
-    def _check(self, form: Series) -> None:
+    def add(self, form: Series) -> str:
         if form.registry != self.registry:
             raise ValueError("form registry differs from the table registry")
         N = self.registry.modulus
         if any(sum(e) != N for e in form.terms):
             raise ValueError(f"denominator forms must be homogeneous of degree {N}")
-
-    def add(self, form: Series) -> str:
-        self._check(form)
         fid = form_id(form)
         if fid not in self.forms:
-            self.forms[fid] = form.with_trunc(self.registry.modulus)
-        return fid
-
-    def _add_keyed(self, fid: str, form: Series) -> str:
-        """Register ``form`` under ``fid``, which the caller already holds
-        as form_id(form); a form new to the table is still checked."""
-        if fid not in self.forms:
-            self._check(form)
-            self.forms[fid] = form.with_trunc(self.registry.modulus)
+            self.forms[fid] = form.with_trunc(N)
         return fid
 
     def copy(self) -> "FormTable":
@@ -408,9 +398,6 @@ class FormTable:
         out = FormTable(self.registry)
         out.forms.update(self.forms)
         return out
-
-    def get(self, fid: str) -> Series:
-        return self.forms[fid]
 
     def __contains__(self, fid: str) -> bool:
         return fid in self.forms
@@ -689,12 +676,16 @@ def _odot_pair(
     """One term pair of the closed product.
 
     ``sums`` is the calling odot_closed's memo of pair sums, keyed by
-    (u_id, v_id) with value (form_id(u + v), u + v); it lives for that one
-    call, where the pair of ids fixes the sum.  The numerator is built on
-    one packed dict over the output symbols: each P^{k,l}_{m,n} piece is
-    renamed into the u/v positions once per (k_eff, l_eff), then every
-    numerator term pair adds its base monomial e1 + e2 to the piece's terms
-    and scales them by c1 * c2.
+    (u_id, v_id) with value the id of u + v; it lives for that one call,
+    where the pair of ids fixes the sum.  A sum enters ``table`` through
+    ``table.add`` when the memo first builds it, so the table keeps its
+    row-major order: this pair's new sums, then its numerator symbols,
+    which move over from the operand tables by id.
+
+    The numerator is built on one packed dict over the output symbols: each
+    P^{k,l}_{m,n} piece is renamed into the u/v positions once per
+    (k_eff, l_eff), then every numerator term pair adds its base monomial
+    e1 + e2 to the piece's terms and scales them by c1 * c2.
     """
     m = len(t1.denominator)
     n = len(t2.denominator)
@@ -703,15 +694,13 @@ def _odot_pair(
     N = registry.modulus
     u_ids = t1.denominator
     v_ids = t2.denominator
-    cells = []
+    flat = []
     for a in u_ids:
         for b in v_ids:
-            cell = sums.get((a, b))
-            if cell is None:
-                s = forms1[a] + forms2[b]
-                cell = sums[a, b] = (form_id(s), s)
-            cells.append(cell)
-    flat = [fid for fid, _ in cells]
+            fid = sums.get((a, b))
+            if fid is None:
+                fid = sums[a, b] = table.add(forms1[a] + forms2[b])
+            flat.append(fid)
     if len(set(flat)) != m * n:
         seen: dict[str, int] = {}
         for fid in flat:
@@ -774,10 +763,8 @@ def _odot_pair(
         _checked=True,
     )
 
-    for fid, s in cells:
-        table._add_keyed(fid, s)
     for s in num.symbols:
-        table._add_keyed(s, forms1[s] if s in forms1 else forms2[s])
+        table.forms.setdefault(s, forms1[s] if s in forms1 else forms2[s])
     prefix = tuple(a + b for a, b in zip(t1.prefix, t2.prefix))
     return RationalTerm(prefix, num, tuple(sorted(flat)))
 
@@ -787,10 +774,10 @@ def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
 
     Works term pair by term pair; every pair must satisfy the distinctness
     precondition (all sums u_i + v_j different), otherwise
-    DistinctnessViolation propagates to the caller.  Each sum u + v is built
-    and its form id rendered once per call: a memo keyed by (u_id, v_id)
-    lives for this call only and feeds every pair, which still runs all of
-    its checks.
+    DistinctnessViolation propagates to the caller and the call's table is
+    dropped.  Each sum u + v is built and its form id rendered once per
+    call: a memo keyed by (u_id, v_id) holds the sum's id, lives for this
+    call only and feeds every pair, which still runs all of its checks.
     """
     if e1.registry != e2.registry:
         raise ValueError("operands live over different variable registries")

@@ -25,7 +25,6 @@ from dtmoments.ratfun import (
     RationalExpr,
     RationalTerm,
     SymPoly,
-    form_id,
     identity_form,
     p_polynomial,
     uv_symbols,
@@ -179,7 +178,7 @@ def odot_many_direct(fs) -> Series:
 
 
 def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalTerm:
-    """One term pair: every sum u_i + v_j built and its id rendered afresh,
+    """One term pair: every sum u_i + v_j built and added to the table afresh,
     and the numerator summed as P (renamed with with_symbols) times the two
     numerator monomials, per numerator term pair."""
     m = len(t1.denominator)
@@ -190,7 +189,7 @@ def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalT
     us = [forms1[fid] for fid in t1.denominator]
     vs = [forms2[fid] for fid in t2.denominator]
     sums = [[us[i] + vs[j] for j in range(n)] for i in range(m)]
-    sum_ids = [[form_id(sums[i][j]) for j in range(n)] for i in range(m)]
+    sum_ids = [[table.add(sums[i][j]) for j in range(n)] for i in range(m)]
     flat = [sum_ids[i][j] for i in range(m) for j in range(n)]
     if len(set(flat)) != m * n:
         collisions = sorted({fid for fid in flat if flat.count(fid) > 1})
@@ -221,9 +220,6 @@ def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalT
             mono2 = SymPoly(t2.numerator.symbols, {e2: c2}).with_symbols(out_syms)
             acc = acc + piece * mono1 * mono2
 
-    for i in range(m):
-        for j in range(n):
-            table._add_keyed(sum_ids[i][j], sums[i][j])
     # drop the symbols that no term uses
     used = [i for i in range(len(acc.symbols)) if any(e[i] for e in acc.terms)]
     acc = SymPoly(
@@ -231,7 +227,7 @@ def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalT
         {tuple(e[i] for i in used): c for e, c in acc.terms.items()},
     )
     for s in acc.symbols:
-        table._add_keyed(s, forms1[s] if s in forms1 else forms2[s])
+        table.forms.setdefault(s, forms1[s] if s in forms1 else forms2[s])
     prefix = tuple(a + b for a, b in zip(t1.prefix, t2.prefix))
     return RationalTerm(prefix, acc, tuple(sorted(flat)))
 
@@ -320,6 +316,6 @@ def expand_by_geometric(expr, D: int) -> Series:
             continue
         part = _substitute(t.numerator, expr.table.forms, expr.registry, budget)
         for fid in t.denominator:
-            part = part * geometric(expr.table.get(fid), budget)
+            part = part * geometric(expr.table.forms[fid], budget)
         _accumulate(acc, part.with_trunc(D).shift(t.prefix).terms)
     return Series(expr.registry, D, acc)

@@ -2,8 +2,9 @@
 
 Test-only routes (the undivided numerator Q, the raw-key recursion, the
 direct multinomial product) live in tests/oracles.py, not in the package.
-README's library and command-line examples run as written, and every name
-a package module imports is used there or exported.
+README's library and command-line examples run as written, every name a
+package module imports is used there or exported, and FormTable.add is the
+one place the package renders a form id.
 """
 
 import ast
@@ -18,7 +19,6 @@ from dtmoments import cli, fps, genfun, moments, ratfun
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
-    "DiagonalSeries",
     "DistinctnessViolation",
     "ExactDivisionError",
     "FormTable",
@@ -70,7 +70,7 @@ TEST_ONLY = (
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
     assert len(dtmoments.__all__) == len(set(dtmoments.__all__))
     assert set(dtmoments.__all__) == PUBLIC | {"__version__"}
 
@@ -90,6 +90,10 @@ def test_test_only_routes_stay_out_of_the_package():
     assert not hasattr(ratfun.SymPoly, "times_monomial")
     assert not hasattr(ratfun.SymPoly, "restricted")
     assert not hasattr(ratfun.SymPoly, "substitute_series")
+    # forms enter a table only through FormTable.add and move by key
+    assert not hasattr(ratfun.FormTable, "get")
+    assert not hasattr(ratfun.FormTable, "_add_keyed")
+    assert not hasattr(genfun, "DiagonalSeries")
     # the engine always canonicalizes and keeps its memo; raw keys are the
     # oracle's job
     assert list(inspect.signature(moments.MomentEngine).parameters) == []
@@ -155,3 +159,23 @@ def test_every_imported_name_is_used_or_exported():
             if name not in used and name not in exported
         ]
     assert unused == []
+
+
+def test_form_ids_are_rendered_only_in_form_table_add():
+    package = Path(dtmoments.__file__).resolve().parent
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "form_id":
+                calls.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.name,))
+    assert [scope for scope, _ in calls] == [("ratfun.py", "FormTable", "add")], calls

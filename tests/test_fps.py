@@ -278,6 +278,8 @@ def test_rename_and_shift():
         f.rename(ZW2, {"z1": "z2"})
     with pytest.raises(ValueError, match="injective"):
         f.rename(ZW2, {"z1": "z2", "w1": "z2"})
+    with pytest.raises(ValueError, match="unknown variable 'q'"):
+        f.rename(ZW2, {"z1": "q", "w1": "w1"})
     with pytest.raises(ValueError, match="modulus"):
         f.rename(VariableRegistry(("z1", "w1", "z2"), 1), {"z1": "z1", "w1": "w1"})
 

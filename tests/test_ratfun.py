@@ -602,6 +602,8 @@ def test_substitute_checks_its_map_once_with_or_without_forms(monkeypatch):
         bare.substitute(ZW2, {"z1": "z1", "w1": "z1", "z2": "z2", "w2": "z1"})
     with pytest.raises(ValueError, match="cover"):
         bare.substitute(ZW2, {"z1": "z1", "z2": "z2", "w2": "w2"})
+    with pytest.raises(ValueError, match="unknown variable 'q'"):
+        bare.substitute(ZW2, {"z1": "q", "w1": "w1", "z2": "z2", "w2": "w2"})
     calls = []
     check = ratfun._rename_positions
     monkeypatch.setattr(ratfun, "_rename_positions", lambda *a: calls.append(a) or check(*a))
