@@ -7,6 +7,15 @@ memoized recursion on the flat key: every term removes one T* and one T,
 splits the cyclic word into independent subwords, and weights the split
 by a multinomial coefficient in the l-entries.
 
+The split sum runs over every set of split positions j(1) < ... < j(r), but
+its outer subword depends only on (j(1), j(r)) and each inner subword only
+on one consecutive pair of splits, and the weight factors the same way.  So
+each node groups the sum by its first and last split: for each first split
+a chain table adds the inner blocks one at a time, and each outer subword
+is looked up once, only where its chain is nonzero.  A node with n pairs
+makes O(n^2) sub-lookups and O(n^3) big-int products, against n*2^(n-1)
+lookups when every split set is enumerated.
+
 Keys are flat even-length tuples.  Entries of -1 are admitted (they arise
 inside the recursion); the only nonzero key containing one is the single
 pair (-1, -1), which counts 1 like every balanced single pair.
@@ -14,7 +23,6 @@ pair (-1, -1), which counts 1 like every balanced single pair.
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 __all__ = [
     "MomentEngine",
@@ -128,6 +136,10 @@ class MomentEngine:
     symmetry orbit, and every computed value is kept.  Lookups are pure, so
     concurrent use is safe at worst at the price of duplicate work.
 
+    Each node makes O(n^2) sub-lookups and O(n^3) big-int products for n
+    pairs (see the module docstring); the values of its inner subwords live
+    in a table that is dropped when the node returns.
+
     The recursion takes one stack frame per level, and each level removes
     one T* and one T, so the depth follows m, the sum of the k-entries, not
     the largest entry: keys with m near 1000 exceed the interpreter's
@@ -176,32 +188,36 @@ class MomentEngine:
         for l in mk[1::2]:
             pre.append(pre[-1] + l)
         m = pre[-1]
+        # The split sum grouped by its first split j0 and last split jr.  The
+        # weight nom(l-entries, js + 1) is C(m, pre[jr] - pre[j0]) for the
+        # wrap-around block times the multinomial of the blocks between
+        # consecutive splits.  chain[b] sums, over the split chains from j0
+        # to b, the product of their inner values times that multinomial;
+        # each first split rewrites chain[j0:], the only part it reads.
+        inner = [None] * (n * n)  # N of the subword between splits a < b at a*n + b
+        chain = [0] * n
         total = 0
-        for r in range(1, n + 1):
-            for js in combinations(range(n), r):
-                j0, jr = js[0], js[-1]
-                outer = mk[: 2 * j0] + (mk[2 * j0] - 1, mk[2 * jr + 1] - 1) + mk[2 * jr + 2 :]
-                prod = self._n(outer)
-                if prod == 0:
-                    continue
-                for a, b in zip(js, js[1:]):
-                    inner = list(mk[2 * a + 1 : 2 * b + 1])
-                    inner[0] -= 1
-                    inner[-1] -= 1
-                    prod *= self._n(tuple(inner))
-                    if prod == 0:
-                        break
-                if prod == 0:
-                    continue
-                # nom(l-entries, js + 1): the wrap-around block first, then
-                # the blocks between consecutive split positions
-                t = m - pre[jr] + pre[j0]
-                w = 1
-                for a, b in zip(js, js[1:]):
-                    p = pre[b] - pre[a]
-                    t += p
-                    w *= math.comb(t, p)
-                total += w * prod
+        for j0 in range(n):
+            chain[j0] = 1
+            for b in range(j0 + 1, n):
+                s = 0
+                for a in range(j0, b):
+                    if chain[a]:
+                        v = inner[a * n + b]
+                        if v is None:
+                            sub = list(mk[2 * a + 1 : 2 * b + 1])
+                            sub[0] -= 1
+                            sub[-1] -= 1
+                            v = inner[a * n + b] = self._n(tuple(sub))
+                        if v:
+                            s += chain[a] * v * math.comb(pre[b] - pre[j0], pre[b] - pre[a])
+                chain[b] = s
+            for jr in range(j0, n):
+                if chain[jr]:
+                    outer = mk[: 2 * j0] + (mk[2 * j0] - 1, mk[2 * jr + 1] - 1) + mk[2 * jr + 2 :]
+                    v = self._n(outer)
+                    if v:
+                        total += v * chain[jr] * math.comb(m, pre[jr] - pre[j0])
         self._memo[mk] = total
         return total
 

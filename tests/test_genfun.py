@@ -55,7 +55,7 @@ def test_f2_anchor_coefficients():
 def test_series_coefficients_equal_recursion_values():
     # the two pipelines share no code beyond basic arithmetic
     engine = MomentEngine()
-    for n, D in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (6, 6), (7, 6)):
+    for n, D in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (6, 6), (7, 6), (7, 8), (8, 6)):
         fs = f_series(n, D)
         for m in range(D // 2 + 1):
             for key in balanced_keys(n, m):
@@ -270,6 +270,11 @@ def test_check_conjecture_proved_cases_match():
         for row in report["rows"]:
             assert row["match"] is True
             assert row["expected"] == n ** (n * row["k"])
+
+
+def test_check_conjecture_nine_pairs_match():
+    # Sniady's theorem: N((k,) * 2n) = n^(nk); nine pairs up to k = 3
+    assert check_conjecture(9, 3)["all_match"] is True
 
 
 def test_check_conjecture_reports_three_pairs():

@@ -208,6 +208,34 @@ def test_raw_and_canonical_memoization_agree():
         assert canonical.n_value(key) == raw_n_value(key)
 
 
+def _random_balanced_key(rng, n, m):
+    """A flat key whose k-entries and l-entries are random compositions of m
+    into n parts, zero parts included."""
+
+    def composition():
+        cuts = sorted(rng.randint(0, m) for _ in range(n - 1))
+        return [b - a for a, b in zip([0] + cuts, cuts + [m])]
+
+    return tuple(e for pair in zip(composition(), composition()) for e in pair)
+
+
+def test_grouped_split_sum_matches_subset_oracle():
+    # The engine sums the splits grouped by their first and last position;
+    # the oracle enumerates every split set and weighs it with nom.  Four to
+    # seven pairs give chains of three to six inner blocks, past the
+    # exhaustive three-pair keys above; zero entries give the oracle inner keys with
+    # -1 entries and give the engine keys to contract.
+    engine = MomentEngine()
+    for m in range(4):
+        for key in balanced_keys(4, m):
+            assert engine.n_value(key) == raw_n_value(key), key
+    rng = random.Random(12)
+    for n, m in ((5, 6), (6, 5), (7, 4)):
+        for _ in range(15):
+            key = _random_balanced_key(rng, n, m)
+            assert engine.n_value(key) == raw_n_value(key), key
+
+
 def test_values_are_nonnegative_integers():
     engine = MomentEngine()
     for n in (1, 2, 3):
