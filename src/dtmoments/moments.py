@@ -16,6 +16,16 @@ is looked up once, only where its chain is nonzero.  A node with n pairs
 makes O(n^2) sub-lookups and O(n^3) big-int products, against n*2^(n-1)
 lookups when every split set is enumerated.
 
+Each lookup pays for its key plumbing once.  Memo keys are canonical, so a
+key that is already one is answered by a single probe.  Otherwise its zero
+entries are contracted: a key that contracts to two entries is 1 or 0 at
+once, and any other is replaced by its dihedral_min.  An engine keeps an
+orbit table from each contracted key that came in through n_value or moment
+to that minimum, so a repeated public key skips dihedral_min; the
+recursion's sub-keys never enter the table, which grows only with the
+distinct contracted public keys.  Inside a node, an inner subword whose
+k-sum and l-sum differ is 0 without a lookup.
+
 Keys are flat even-length tuples.  Entries of -1 are admitted (they arise
 inside the recursion); the only nonzero key containing one is the single
 pair (-1, -1), which counts 1 like every balanced single pair.
@@ -94,6 +104,8 @@ def dihedral_min(key) -> tuple:
     at a minimum entry are formed."""
     key = tuple(key)
     n = len(key)
+    if not n:
+        raise ValueError("dihedral_min needs a nonempty key, got ()")
     lo = min(key)
     kk = key + key
     rr = kk[::-1]
@@ -103,16 +115,16 @@ def dihedral_min(key) -> tuple:
     )
 
 
-def _canonical(key: tuple) -> tuple:
-    """canonical_key without the validation, for keys known to be valid
-    and nonnegative."""
+def _contract(key: tuple) -> tuple:
+    """Contract every zero entry of a valid nonnegative key, until no zero
+    is left or two entries remain."""
     while len(key) > 2 and 0 in key:
         s = key.index(0)
         if s:
             key = key[s:] + key[:s]
         # the leading zero goes and its two neighbours merge
         key = key[2:-1] + (key[-1] + key[1],)
-    return dihedral_min(key)
+    return key
 
 
 def canonical_key(key) -> tuple:
@@ -126,7 +138,7 @@ def canonical_key(key) -> tuple:
     key = validate_key(key)
     if min(key) < 0:
         raise ValueError("canonical_key needs nonnegative entries")
-    return _canonical(key)
+    return dihedral_min(_contract(key))
 
 
 class MomentEngine:
@@ -135,6 +147,13 @@ class MomentEngine:
     Memo keys are canonicalized, so one cached value serves a whole
     symmetry orbit, and every computed value is kept.  Lookups are pure, so
     concurrent use is safe at worst at the price of duplicate work.
+
+    A key that is already a memo key is answered by the memo probe that
+    comes before any contraction.  Beside the memo, the orbit table maps
+    each contracted key that came in through n_value or moment to its
+    canonical key; it grows only with the distinct contracted public keys,
+    never with the recursion's sub-keys.  The split sum skips, without a
+    lookup, every inner subword whose k-sum and l-sum differ.
 
     Each node makes O(n^2) sub-lookups and O(n^3) big-int products for n
     pairs (see the module docstring); the values of its inner subwords live
@@ -151,6 +170,9 @@ class MomentEngine:
 
     def __init__(self):
         self._memo: dict[tuple, int] = {}
+        # contracted public key -> its dihedral_min; the recursion's
+        # sub-keys never enter it
+        self._orbits: dict[tuple, tuple] = {}
 
     @property
     def memo_size(self) -> int:
@@ -158,7 +180,7 @@ class MomentEngine:
 
     def n_value(self, key) -> int:
         """The integer N of a flat key."""
-        return self._n(validate_key(key))
+        return self._n(validate_key(key), public=True)
 
     def moment(self, key) -> Fraction:
         """The renormalized trace N/(m+1)! with m = sum of the k-entries."""
@@ -166,20 +188,32 @@ class MomentEngine:
         if min(key) < 0:
             raise ValueError("moment needs nonnegative entries")
         m = sum(key[0::2])
-        return Fraction(self._n(key), math.factorial(m + 1))
+        return Fraction(self._n(key, public=True), math.factorial(m + 1))
 
     # -- recursion --
 
-    def _n(self, key: tuple) -> int:
+    def _n(self, key: tuple, public: bool = False) -> int:
+        """N of a valid key; ``public`` marks a key from n_value or moment,
+        whose orbit is looked up in (and added to) the orbit table."""
         if len(key) == 2:
             return 1 if key[0] == key[1] else 0
+        # memo keys are canonical, so a hit on the key as given is its value
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         if min(key) < 0:
             return 0
         if sum(key[0::2]) != sum(key[1::2]):
             return 0
-        mk = _canonical(key)
-        if len(mk) == 2:
-            return 1 if mk[0] == mk[1] else 0
+        key = _contract(key)
+        if len(key) == 2:
+            return 1 if key[0] == key[1] else 0
+        if public:
+            mk = self._orbits.get(key)
+            if mk is None:
+                mk = self._orbits[key] = dihedral_min(key)
+        else:
+            mk = dihedral_min(key)
         hit = self._memo.get(mk)
         if hit is not None:
             return hit
@@ -187,13 +221,18 @@ class MomentEngine:
         pre = [0]  # prefix sums of the l-entries, for the split weights
         for l in mk[1::2]:
             pre.append(pre[-1] + l)
+        kpre = [0]  # prefix sums of the k-entries, for the balance of inner blocks
+        for k in mk[0::2]:
+            kpre.append(kpre[-1] + k)
         m = pre[-1]
         # The split sum grouped by its first split j0 and last split jr.  The
         # weight nom(l-entries, js + 1) is C(m, pre[jr] - pre[j0]) for the
         # wrap-around block times the multinomial of the blocks between
         # consecutive splits.  chain[b] sums, over the split chains from j0
         # to b, the product of their inner values times that multinomial;
-        # each first split rewrites chain[j0:], the only part it reads.
+        # each first split rewrites chain[j0:], the only part it reads.  An
+        # inner block whose l-sum and k-sum differ is 0 without a lookup;
+        # a nonzero chain[jr] makes its outer subword balanced.
         inner = [None] * (n * n)  # N of the subword between splits a < b at a*n + b
         chain = [0] * n
         total = 0
@@ -205,10 +244,14 @@ class MomentEngine:
                     if chain[a]:
                         v = inner[a * n + b]
                         if v is None:
-                            sub = list(mk[2 * a + 1 : 2 * b + 1])
-                            sub[0] -= 1
-                            sub[-1] -= 1
-                            v = inner[a * n + b] = self._n(tuple(sub))
+                            if pre[b] - pre[a] != kpre[b + 1] - kpre[a + 1]:
+                                v = 0
+                            else:
+                                sub = list(mk[2 * a + 1 : 2 * b + 1])
+                                sub[0] -= 1
+                                sub[-1] -= 1
+                                v = self._n(tuple(sub))
+                            inner[a * n + b] = v
                         if v:
                             s += chain[a] * v * math.comb(pre[b] - pre[j0], pre[b] - pre[a])
                 chain[b] = s

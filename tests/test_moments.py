@@ -122,6 +122,11 @@ def test_dihedral_min_examples():
     assert dihedral_min((1, 1)) == (1, 1)
 
 
+def test_dihedral_min_rejects_the_empty_key():
+    with pytest.raises(ValueError, match=r"nonempty key, got \(\)"):
+        dihedral_min(())
+
+
 def test_canonical_key_rotation_and_reversal():
     assert canonical_key((1, 1, 2, 2)) == canonical_key((2, 2, 1, 1))
     key = (1, 2, 0, 1, 3, 1)
@@ -234,6 +239,30 @@ def test_grouped_split_sum_matches_subset_oracle():
         for _ in range(15):
             key = _random_balanced_key(rng, n, m)
             assert engine.n_value(key) == raw_n_value(key), key
+
+
+def test_cached_orbits_give_fresh_engine_values():
+    # The first call on each key fills the orbit table, the second reads it.
+    engine = MomentEngine()
+    for key in canonicalization_range():
+        if len(key) > 8:
+            continue
+        first = engine.n_value(key)
+        assert engine.n_value(key) == first == MomentEngine().n_value(key), key
+    assert engine._orbits
+    for contracted, orbit in engine._orbits.items():
+        assert orbit == canonical_key(contracted), contracted
+
+
+def test_recursion_sub_keys_stay_out_of_the_orbit_table():
+    # Only public keys enter the orbit table, so it grows with the distinct
+    # keys asked for, not with the recursion's sub-keys.
+    engine = MomentEngine()
+    assert engine.n_value((3,) * 10) == 5**15
+    assert len(engine._orbits) <= 1
+    assert engine.memo_size > 1
+    for key in engine._memo:
+        assert canonical_key(key) == key, key
 
 
 def test_values_are_nonnegative_integers():
