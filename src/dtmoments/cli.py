@@ -9,7 +9,6 @@ distinctness collision in rational mode), 2 on usage errors.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .fps import Series, e_transform
@@ -32,6 +31,13 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _emit_series(out: Series, output: str) -> None:
+    if output == "json":
+        _emit_json(out.to_json_dict())
+    else:
+        sys.stdout.write(out.to_text())
+
+
 def _cmd_moment(args) -> None:
     key = parse_key(args.key)
     engine = MomentEngine()
@@ -42,7 +48,7 @@ def _cmd_moment(args) -> None:
             {
                 "key": list(key),
                 "n_value": n,
-                "moment": None if m_frac is None else str(Fraction(m_frac)),
+                "moment": None if m_frac is None else str(m_frac),
             }
         )
     elif m_frac is None:
@@ -52,11 +58,7 @@ def _cmd_moment(args) -> None:
 
 
 def _cmd_series(args) -> None:
-    fs = f_series(args.n, args.D)
-    if args.output == "json":
-        _emit_json(fs.to_json_dict())
-    else:
-        sys.stdout.write(fs.to_text())
+    _emit_series(f_series(args.n, args.D), args.output)
 
 
 def _cmd_rational(args) -> None:
@@ -75,20 +77,11 @@ def _read_series(path: str) -> Series:
 def _cmd_odot(args) -> None:
     f = _read_series(args.left)
     g = _read_series(args.right)
-    out = f.odot(g)
-    if args.output == "json":
-        _emit_json(out.to_json_dict())
-    else:
-        sys.stdout.write(out.to_text())
+    _emit_series(f.odot(g), args.output)
 
 
 def _cmd_etransform(args) -> None:
-    f = _read_series(args.series)
-    out = e_transform(f)
-    if args.output == "json":
-        _emit_json(out.to_json_dict())
-    else:
-        sys.stdout.write(out.to_text())
+    _emit_series(e_transform(_read_series(args.series)), args.output)
 
 
 def _cmd_ppoly(args) -> None:
@@ -225,10 +218,7 @@ def main(argv=None) -> int:
     except (DistinctnessViolation, ExactDivisionError, RecursionError) as exc:
         print(f"dtmoments: computation failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"dtmoments: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"dtmoments: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -16,19 +16,10 @@ is looked up once, only where its chain is nonzero.  A node with n pairs
 makes O(n^2) sub-lookups and O(n^3) big-int products, against n*2^(n-1)
 lookups when every split set is enumerated.
 
-Each lookup pays for its key plumbing once.  Memo keys are canonical, so a
-key that is already one is answered by a single probe.  Otherwise its zero
-entries are contracted: a key that contracts to two entries is 1 or 0 at
-once, and any other is replaced by its dihedral_min.  An engine keeps an
-orbit table from each contracted key that came in through n_value or moment
-to that minimum, so a repeated public key skips dihedral_min; the
-recursion's sub-keys never enter the table, which grows only with the
-distinct contracted public keys.  Inside a node, an inner subword whose
-k-sum and l-sum differ is 0 without a lookup.
-
-Keys are flat even-length tuples.  Entries of -1 are admitted (they arise
-inside the recursion); the only nonzero key containing one is the single
-pair (-1, -1), which counts 1 like every balanced single pair.
+Keys are flat even-length tuples.  Entries of -1 are admitted only in keys
+from outside, and the engine answers them before any recursion: 1 for a
+balanced single pair such as (-1, -1), 0 otherwise.  The recursion's
+sub-keys never carry them.
 """
 
 import math
@@ -148,12 +139,16 @@ class MomentEngine:
     symmetry orbit, and every computed value is kept.  Lookups are pure, so
     concurrent use is safe at worst at the price of duplicate work.
 
-    A key that is already a memo key is answered by the memo probe that
-    comes before any contraction.  Beside the memo, the orbit table maps
-    each contracted key that came in through n_value or moment to its
-    canonical key; it grows only with the distinct contracted public keys,
-    never with the recursion's sub-keys.  The split sum skips, without a
-    lookup, every inner subword whose k-sum and l-sum differ.
+    Keys from outside (n_value, moment) pass one door, _lookup, which runs
+    each check once: the single-pair law, a memo probe on the key as given,
+    0 for a negative entry or unequal k-sum and l-sum, zero contraction,
+    and the orbit table, which maps each contracted outside key to its
+    canonical key and grows only with the distinct keys asked for.  The
+    recursion _n takes trusted keys: its sub-keys are nonnegative, since
+    it splits only zero-free keys, and balanced, since the split sum skips
+    every inner subword whose k-sum and l-sum differ and the outer subword
+    of a nonzero chain is then balanced too.  It probes the memo, contracts
+    zeros and takes the dihedral_min of each key it meets.
 
     Each node makes O(n^2) sub-lookups and O(n^3) big-int products for n
     pairs (see the module docstring); the values of its inner subwords live
@@ -180,40 +175,48 @@ class MomentEngine:
 
     def n_value(self, key) -> int:
         """The integer N of a flat key."""
-        return self._n(validate_key(key), public=True)
+        return self._lookup(validate_key(key))
 
     def moment(self, key) -> Fraction:
         """The renormalized trace N/(m+1)! with m = sum of the k-entries."""
         key = validate_key(key)
         if min(key) < 0:
             raise ValueError("moment needs nonnegative entries")
-        m = sum(key[0::2])
-        return Fraction(self._n(key, public=True), math.factorial(m + 1))
+        return Fraction(self._lookup(key), math.factorial(sum(key[0::2]) + 1))
 
-    # -- recursion --
-
-    def _n(self, key: tuple, public: bool = False) -> int:
-        """N of a valid key; ``public`` marks a key from n_value or moment,
-        whose orbit is looked up in (and added to) the orbit table."""
+    def _lookup(self, key: tuple) -> int:
+        """N of a valid key from outside; the only reader and writer of the
+        orbit table."""
         if len(key) == 2:
             return 1 if key[0] == key[1] else 0
         # memo keys are canonical, so a hit on the key as given is its value
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if min(key) < 0:
-            return 0
-        if sum(key[0::2]) != sum(key[1::2]):
+        if min(key) < 0 or sum(key[0::2]) != sum(key[1::2]):
             return 0
         key = _contract(key)
         if len(key) == 2:
             return 1 if key[0] == key[1] else 0
-        if public:
-            mk = self._orbits.get(key)
-            if mk is None:
-                mk = self._orbits[key] = dihedral_min(key)
-        else:
-            mk = dihedral_min(key)
+        mk = self._orbits.get(key)
+        if mk is None:
+            mk = self._orbits[key] = dihedral_min(key)
+        return self._n(mk)
+
+    # -- recursion --
+
+    def _n(self, key: tuple) -> int:
+        """N of a nonnegative balanced key."""
+        if len(key) == 2:
+            return 1 if key[0] == key[1] else 0
+        # memo keys are canonical, so a hit on the key as given is its value
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        key = _contract(key)
+        if len(key) == 2:
+            return 1 if key[0] == key[1] else 0
+        mk = dihedral_min(key)
         hit = self._memo.get(mk)
         if hit is not None:
             return hit

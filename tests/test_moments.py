@@ -241,6 +241,40 @@ def test_grouped_split_sum_matches_subset_oracle():
             assert engine.n_value(key) == raw_n_value(key), key
 
 
+def test_recursion_receives_only_nonnegative_balanced_keys():
+    # The recursion runs no sign or balance check: every key it is handed,
+    # by the door or by a split of its own, must already pass both.
+    engine = MomentEngine()
+    recurse = engine._n
+    received = []
+
+    def spy(key):
+        value = recurse(key)
+        received.append((key, value))
+        return value
+
+    engine._n = spy
+    keys = [
+        key for n in (2, 3, 4) for m in range(4) for key in balanced_keys(n, m) if 0 in key
+    ]
+    rng = random.Random(14)
+    keys += [_random_balanced_key(rng, n, m) for n, m in ((5, 6), (6, 5), (7, 4)) for _ in range(5)]
+    for key in keys:
+        assert engine.n_value(key) == raw_n_value(key), key
+    # the splits hand the recursion keys with zero entries to contract
+    assert any(0 in key for key, _ in received)
+    for key, value in received:
+        assert min(key) >= 0 and sum(key[0::2]) == sum(key[1::2]), key
+        assert value == raw_n_value(key), key
+
+
+def test_door_answers_negative_and_unbalanced_keys_without_recursing():
+    for key in ((-1, -1, 1, 1), (2, -1, 0, 1), (1, 0, 0, 2, 1, 1), (3, 1, 1, 2)):
+        engine = MomentEngine()
+        assert engine.n_value(key) == 0, key
+        assert engine.memo_size == 0 and not engine._orbits, key
+
+
 def test_cached_orbits_give_fresh_engine_values():
     # The first call on each key fills the orbit table, the second reads it.
     engine = MomentEngine()
