@@ -213,12 +213,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.output is None:
         args.output = "json" if args.command in _JSON_DEFAULT else "text"
+    # exact integers of any size go in and out as decimal text: lift the
+    # interpreter's int-digit cap for this run only, since callers may share it
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args.func(args)
-    except (DistinctnessViolation, ExactDivisionError, RecursionError) as exc:
+    except (DistinctnessViolation, ExactDivisionError, RecursionError, OverflowError) as exc:
         print(f"dtmoments: computation failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"dtmoments: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
     return 0

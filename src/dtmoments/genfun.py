@@ -3,10 +3,13 @@
 F_n collects N(k1,l1,...,kn,ln) over the monomials z1^k1 w1^l1 ... zn^kn
 wn^ln.  It satisfies a recursion: (1 - z1w1 - ... - znwn) F_n is a sum,
 over subsets of split positions, of graded products of prefixed lower-
-order F's on re-wired variable pairs.  This module evaluates that
-recursion in two independent modes -- truncated series (fps core) and
-closed rational form (ratfun core) -- and extracts the diagonal series
-plus the conjecture checkers built on them.
+order F's on re-wired variable pairs.  Each factor is placed by registry
+position (z_i at 2i - 2, w_i at 2i - 1) and multiplied by its prefix, an
+exponent tuple that is zero for a single-pair factor, so every factor is
+one rename and one shift.  This module evaluates that recursion in two
+independent modes -- truncated series (fps core) and closed rational form
+(ratfun core) -- and extracts the diagonal series plus the conjecture
+checkers built on them.
 """
 
 from functools import lru_cache
@@ -40,34 +43,34 @@ def _registry(n: int) -> VariableRegistry:
     return VariableRegistry.zw_pairs(n)
 
 
-def _mono_exps(registry: VariableRegistry, names) -> tuple:
-    e = [0] * registry.size
-    for name in names:
-        e[registry.index(name)] += 1
-    return tuple(e)
-
-
 def _split_factors(n: int):
     """Factor blueprints for every term of the recursion at n >= 2.
 
-    Yields, per term, the list of (pairs, prefix) blueprints: ``pairs`` is
-    the ordered variable-pair list the lower-order F is evaluated on, and
-    ``prefix`` is the two-variable monomial in front.  A single-pair factor
-    is F_1 placed on its pair, with the prefix unused: there the prefix and
-    the geometric pole cancel.  Variable names are 1-based like the
-    registry's.
+    Yields, per term, a tuple of (where, prefix) blueprints, one per lower-
+    order F.  ``where`` holds the registry positions that the F's variables
+    go to, in its own order z1, w1, z2, w2, ...; z_i sits at 2i - 2 and w_i
+    at 2i - 1, as in VariableRegistry.zw_pairs.  ``prefix`` is the exponent
+    tuple of the two-variable monomial in front.  A single-pair factor is F_1
+    placed on its pair with the zero prefix: there the prefix and the
+    geometric pole cancel.  Every factor is thus placed by one rename and
+    one shift.
     """
+
+    def blueprint(where: tuple, p: int, q: int) -> tuple:
+        prefix = [0] * (2 * n)
+        if len(where) > 2:  # the one place a single pair is told apart
+            prefix[p] = prefix[q] = 1
+        return where, tuple(prefix)
+
     for r in range(2, n + 1):
         for js in combinations(range(n), r):
             j0, jr = js[0], js[-1]
-            outer = [(f"z{a + 1}", f"w{a + 1}") for a in range(j0)]
-            outer.append((f"z{j0 + 1}", f"w{jr + 1}"))
-            outer.extend((f"z{b + 1}", f"w{b + 1}") for b in range(jr + 1, n))
-            factors = [(outer, (f"z{j0 + 1}", f"w{jr + 1}"))]
-            for a, b in zip(js, js[1:]):
-                inner = [(f"w{i + 1}", f"z{i + 2}") for i in range(a, b)]
-                factors.append((inner, (f"w{a + 1}", f"z{b + 1}")))
-            yield factors
+            outer = (*range(2 * j0), 2 * j0, 2 * jr + 1, *range(2 * jr + 2, 2 * n))
+            yield (
+                blueprint(outer, 2 * j0, 2 * jr + 1),
+                *(blueprint(tuple(range(2 * a + 1, 2 * b + 1)), 2 * a + 1, 2 * b)
+                  for a, b in zip(js, js[1:])),
+            )
 
 
 @lru_cache(maxsize=None)
@@ -100,38 +103,30 @@ def _packed_f(n: int, D: int, memo: dict) -> dict:
 
 
 def _packed_rhs(n: int, D: int, memo: dict) -> dict:
-    registry = _registry(n)
-    top = _Packing(2 * n, D).top
+    packings = {m: _Packing(2 * m, D) for m in range(1, n + 1)}  # F_m's layout
+    top, modulus = packings[n].top, _registry(n).modulus
     total: dict = {}
     for factors in _split_factors(n):
         part = None
-        for pairs, prefix in factors:
-            factor = _packed_factor(registry, pairs, prefix, D, memo)
-            part = factor if part is None else _podot(part, factor, top, D, registry.modulus)
+        for where, prefix in factors:
+            factor = _packed_factor(where, prefix, packings, D, memo)
+            part = factor if part is None else _podot(part, factor, top, D, modulus)
         _padd_into(total, part)
         del part  # free this part before the next one is built: it sets the peak memory
     return total
 
 
-def _packed_factor(registry, pairs, prefix, D: int, memo: dict) -> dict:
-    packing = _Packing(registry.size, D)
-    m = len(pairs)
-    where = [registry.index(name) for pair in pairs for name in pair]
-    inner = _premap(_packed_f(m, D, memo), _Packing(2 * m, D), packing, where)
-    if m == 1:
-        return inner
-    return _pshift(inner, packing.mono(_mono_exps(registry, prefix)), packing.top, D)
+def _packed_factor(where, prefix, packings, D: int, memo: dict) -> dict:
+    packing = packings[len(prefix) // 2]  # the prefix spans the target registry
+    m = len(where) // 2
+    inner = _premap(_packed_f(m, D, memo), packings[m], packing, where)
+    return _pshift(inner, packing.mono(prefix), packing.top, D)
 
 
-def _rational_factor(registry, pairs, prefix) -> RationalExpr:
-    mapping = {}
-    for i, (x, y) in enumerate(pairs, start=1):
-        mapping[f"z{i}"] = x
-        mapping[f"w{i}"] = y
-    inner = f_rational(len(pairs)).substitute(registry, mapping)
-    if len(pairs) == 1:
-        return inner
-    return inner.scale_prefix(_mono_exps(registry, prefix))
+def _rational_factor(registry, where, prefix) -> RationalExpr:
+    inner = f_rational(len(where) // 2)
+    mapping = dict(zip(inner.registry.names, [registry.names[p] for p in where]))
+    return inner.substitute(registry, mapping).scale_prefix(prefix)
 
 
 @lru_cache(maxsize=None)
@@ -151,8 +146,8 @@ def f_rational(n: int) -> RationalExpr:
     def split_terms():
         for factors in _split_factors(n):
             term = None
-            for pairs, prefix in factors:
-                factor = _rational_factor(registry, pairs, prefix)
+            for where, prefix in factors:
+                factor = _rational_factor(registry, where, prefix)
                 term = factor if term is None else odot_closed(term, factor)
             yield term
 

@@ -490,7 +490,6 @@ class RationalExpr:
     @staticmethod
     def _merged(terms) -> list:
         keyed: dict = {}
-        order: list = []
         for t in terms:
             key = (t.prefix, t.denominator)
             if key in keyed:
@@ -500,8 +499,7 @@ class RationalExpr:
                 keyed[key] = RationalTerm(t.prefix, num, t.denominator)
             else:
                 keyed[key] = t
-                order.append(key)
-        return [keyed[k] for k in order if not keyed[k].numerator.is_zero()]
+        return [t for t in keyed.values() if not t.numerator.is_zero()]
 
     @classmethod
     def _sum(cls, exprs) -> "RationalExpr":
@@ -702,10 +700,7 @@ def _odot_pair(
                 fid = sums[a, b] = table.add(forms1[a] + forms2[b])
             flat.append(fid)
     if len(set(flat)) != m * n:
-        seen: dict[str, int] = {}
-        for fid in flat:
-            seen[fid] = seen.get(fid, 0) + 1
-        collisions = sorted(fid for fid, cnt in seen.items() if cnt > 1)
+        collisions = sorted(fid for fid, cnt in Counter(flat).items() if cnt > 1)
         raise DistinctnessViolation(
             "pairwise denominator sums collide: " + "; ".join(collisions)
         )

@@ -249,13 +249,6 @@ def odot_closed_by_products(e1, e2):
 # -- the series pipelines by geometric series ------------------------------------------
 
 
-def _monomial(registry: VariableRegistry, names) -> Exponents:
-    e = [0] * registry.size
-    for name in names:
-        e[registry.index(name)] += 1
-    return tuple(e)
-
-
 def _accumulate(acc: dict, terms: dict, c=1) -> None:
     for e, v in terms.items():
         v = acc.get(e, 0) + v * c
@@ -279,16 +272,10 @@ def f_series_by_geometric(n: int, D: int) -> Series:
     total: dict = {}
     for factors in _split_factors(n):
         series = []
-        for pairs, prefix in factors:
-            if len(pairs) == 1:
-                series.append(geometric(Series(registry, 2, {_monomial(registry, pairs[0]): 1}), D))
-                continue
-            mapping = {}
-            for i, (x, y) in enumerate(pairs, start=1):
-                mapping[f"z{i}"] = x
-                mapping[f"w{i}"] = y
-            inner = f_series_by_geometric(len(pairs), D).rename(registry, mapping)
-            series.append(inner.shift(_monomial(registry, prefix)))
+        for where, prefix in factors:
+            inner = f_series_by_geometric(len(where) // 2, D)
+            mapping = dict(zip(inner.registry.names, [registry.names[p] for p in where]))
+            series.append(inner.rename(registry, mapping).shift(prefix))
         _accumulate(total, odot_many(series).terms)
     return geometric(identity_form(registry), D) * Series(registry, D, total)
 

@@ -1,6 +1,8 @@
 """Command-line contract: byte-exact text reports, versioned JSON, exit codes."""
 
+import decimal
 import json
+import math
 import subprocess
 import sys
 
@@ -276,6 +278,55 @@ def test_recursion_too_deep_is_one_line_computation_failure(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("dtmoments: computation failed: ")
+
+
+def test_huge_key_entry_is_one_line_computation_failure(capsys):
+    # (m + 1)! of an entry past the C long range overflows
+    key = ",".join([str(10**20)] * 2)
+    code, out, err = run(capsys, "moment", "--key", key)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("dtmoments: computation failed: ")
+
+
+def _digits(x: int) -> str:
+    """x in decimal, whatever the interpreter's int-digit cap."""
+    return format(decimal.Decimal(x), "f")
+
+
+def _int_digit_cap():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("key", ["1700,1700", "1700,1700,0,0"])
+def test_moment_prints_integers_past_the_int_digit_cap(capsys, key):
+    # 1701! has 4,759 digits, more than the default cap of 4,300
+    cap = _int_digit_cap()
+    code, out, err = run(capsys, "moment", "--key", key)
+    assert (code, err) == (0, "")
+    assert out == f"N=1 M=1/{_digits(math.factorial(1701))}\n"
+    code, out, err = run(capsys, "moment", "--key", key, "--output", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["n_value"] == 1
+    assert payload["moment"] == f"1/{_digits(math.factorial(1701))}"
+    assert _int_digit_cap() == cap
+
+
+def test_series_files_take_coefficients_past_the_int_digit_cap(tmp_path, capsys):
+    big = _digits(7**6000)  # 5,071 digits
+    path, one = tmp_path / "big.series", tmp_path / "one.series"
+    path.write_text(f"# vars: z1 w1\n# N: 2\n# D: 2\n{big} z1 w1\n", encoding="ascii")
+    one.write_text("# vars: z1 w1\n# N: 2\n# D: 2\n1\n", encoding="ascii")
+    cap = _int_digit_cap()
+    code, out, err = run(capsys, "odot", str(path), str(one))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\n{big}/1 z1^1 w1^1\n")
+    code, out, err = run(capsys, "etransform", str(path))
+    assert (code, err) == (0, "")
+    assert big in out
+    assert _int_digit_cap() == cap
 
 
 # ---------------------------------------------------------------- determinism

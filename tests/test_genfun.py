@@ -7,6 +7,7 @@ import pytest
 
 from dtmoments.fps import Series, VariableRegistry, geometric
 from dtmoments.genfun import (
+    _split_factors,
     check_conjecture,
     check_n3_identity,
     f_rational,
@@ -93,6 +94,28 @@ def test_geometric_inverts_one_minus_the_form():
 )
 def test_f_series_equals_the_geometric_route(n, D):
     assert f_series(n, D) == f_series_by_geometric(n, D)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_split_blueprints_are_registry_positions(n):
+    terms = list(_split_factors(n))
+    assert len(terms) == 2**n - n - 1
+    multi = set()
+    for term in terms:
+        hash(term)
+        placed = sorted(p for where, _ in term for p in where)
+        assert placed == list(range(2 * n))
+        for where, prefix in term:
+            assert len(prefix) == 2 * n and len(where) % 2 == 0
+            if len(where) == 2:
+                assert prefix == (0,) * (2 * n)
+            else:
+                units = [i for i, x in enumerate(prefix) if x]
+                assert [prefix[i] for i in units] == [1, 1]
+                assert set(units) <= set(where)
+                multi.add((where, prefix))
+    if n == 7:
+        assert len(multi) == 35
 
 
 def test_bounds_are_validated():
