@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -203,6 +203,55 @@ def test_rational_terms_stay_unmerged_and_within_factor_bound():
     for t in expr.terms:
         assert len(t.denominator) <= math.factorial(3)
         assert sum(t.prefix) // 2 <= len(t.denominator) - 1
+
+
+def _cycle_count(perm) -> int:
+    """Cycles of a permutation of 0..n-1 given as a tuple of images."""
+    seen = [False] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            count += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return count
+
+
+def _non_crossing(n: int) -> list:
+    """NC(n) inside S_n: the sigma with |sigma| + |sigma^-1 c| = n - 1, where
+    |pi| = n - cycles(pi) and c(i) = i - 1 mod n is the long cycle."""
+    out = []
+    for sigma in permutations(range(n)):
+        inverse = [0] * n
+        for i, s in enumerate(sigma):
+            inverse[s] = i
+        rest = tuple(inverse[(i - 1) % n] for i in range(n))
+        if (n - _cycle_count(sigma)) + (n - _cycle_count(rest)) == n - 1:
+            out.append(sigma)
+    return out
+
+
+@pytest.mark.parametrize("n, catalan", [(2, 2), (3, 5), (4, 14), (5, 42), (6, 132)])
+def test_rational_denominators_are_the_non_crossing_permutation_forms(n, catalan):
+    # observed for n <= 6: the denominator forms are exactly the permutation
+    # forms of NC(n); the table's other forms are partial (fewer than n
+    # terms) and serve only as numerator symbols
+    expr = f_rational(n)
+    forms = expr.table.forms
+    registry = expr.registry
+    denominators = {fid for t in expr.terms for fid in t.denominator}
+    got = sorted(sorted(forms[fid].terms.items()) for fid in denominators)
+    expected = sorted(
+        sorted(permutation_form(registry, sigma).terms.items()) for sigma in _non_crossing(n)
+    )
+    assert len(expected) == catalan
+    assert got == expected
+    for fid, form in forms.items():
+        assert set(form.terms.values()) == {1}, fid
+        if fid not in denominators:
+            assert len(form.terms) < n, fid
 
 
 def test_rational_five_pairs_has_distinct_sums():
