@@ -1,6 +1,7 @@
 """Command-line contract: byte-exact text reports, versioned JSON, exit codes."""
 
 import decimal
+import hashlib
 import json
 import math
 import subprocess
@@ -104,6 +105,20 @@ def test_rational_json(capsys):
     assert payload["version"] == "0.1.0"
     assert payload["n"] == 2
     assert len(payload["forms"]) == 2
+
+
+# sha256 of the rational reports for n = 1..5, text then JSON for each n
+RATIONAL_REPORTS_SHA256 = "6ab0504851a973cd8d2d71ca1603a698e70988c880cbe45edbd9d9b98011461c"
+
+
+def test_rational_reports_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "rational", "--n", str(n), "--output", fmt)
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+    assert digest.hexdigest() == RATIONAL_REPORTS_SHA256
 
 
 # ---------------------------------------------------------------- odot / etransform

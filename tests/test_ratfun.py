@@ -626,3 +626,35 @@ def test_pretty_and_json_shape():
     assert data["terms"][0]["prefix"] == {"z": [1], "w": [2]}
     assert data["terms"][0]["denominator"] == sorted([form_id(u), form_id(v)])
     assert set(data["forms"]) == {form_id(u), form_id(v)}
+
+
+def test_pretty_orders_a_user_registry_by_its_zw_names():
+    # the registry holds its z/w names out of zw_pairs order: monomials are
+    # displayed z's by index, then w's, while ids and aliases keep their
+    # table and sort order
+    reg = VariableRegistry(("w2", "z1", "w1", "z2"))
+
+    def form(*pairs):
+        terms = {}
+        for z, w in pairs:
+            e = [0] * reg.size
+            e[reg.index(z)] += 1
+            e[reg.index(w)] += 1
+            terms[tuple(e)] = 1
+        return Series(reg, 2, terms)
+
+    u = form(("z1", "w1"), ("z2", "w2"))
+    v = form(("z1", "w2"), ("z2", "w1"))
+    syms = tuple(sorted((form_id(u), form_id(v))))
+    numerator = SymPoly(syms, {(0, 0): 2, (1, 0): -1, (0, 1): -1})
+    prefix = [0] * reg.size
+    prefix[reg.index("z2")] = 2
+    prefix[reg.index("w1")] = 1
+    prefix[reg.index("w2")] = 1
+    expr = RationalExpr.single(reg, tuple(prefix), numerator, [u, v, form(("z2", "w1"))])
+    assert expr.pretty() == (
+        "u1 = z2w2+z1w1\n"
+        "u2 = z1w2+z2w1\n"
+        "u3 = z2w1\n"
+        "z2^2w1w2(2 - u2 - u1)/((1-u2)(1-u3)(1-u1))"
+    )
