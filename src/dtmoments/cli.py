@@ -3,12 +3,15 @@
 Every command prints a deterministic report on standard output: text for
 human reading, JSON (with an embedded version field) as the machine
 contract.  Exit codes: 0 on success, 1 when a computation fails (e.g. a
-distinctness collision in rational mode), 2 on usage errors.
+distinctness collision in rational mode) or the reader closes standard
+output early, 2 on usage errors.
 """
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterator
 
 from . import __version__
 from .fps import Series, e_transform
@@ -27,8 +30,31 @@ __all__ = ["main"]
 
 
 def _emit_json(payload: dict) -> None:
-    payload = {"version": __version__, **payload}
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write {"version": ..., **payload} as json.dumps(indent=2,
+    sort_keys=True) would, plus a newline.  A value that is an iterator is
+    written item by item as a JSON list, so a long report is never held
+    whole."""
+    _write_json(sys.stdout.write, {"version": __version__, **payload}, "")
+    sys.stdout.write("\n")
+
+
+def _write_json(write, value, indent: str) -> None:
+    if isinstance(value, dict) and any(isinstance(v, Iterator) for v in value.values()):
+        sep = "{"
+        for key in sorted(value):
+            write(f"{sep}\n{indent}  {json.dumps(key)}: ")
+            _write_json(write, value[key], indent + "  ")
+            sep = ","
+        write(f"\n{indent}}}")
+    elif isinstance(value, Iterator):
+        sep = "["
+        for item in value:
+            write(f"{sep}\n{indent}  ")
+            _write_json(write, item, indent + "  ")
+            sep = ","
+        write("[]" if sep == "[" else f"\n{indent}]")
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
 
 def _emit_series(out: Series, output: str) -> None:
@@ -62,11 +88,15 @@ def _cmd_series(args) -> None:
 
 
 def _cmd_rational(args) -> None:
+    # written piece by piece: the form lines first, then term by term
     expr = f_rational(args.n)
     if args.output == "json":
-        _emit_json({"n": args.n, **expr.to_json_dict()})
+        terms = map(expr._json_term, expr.terms)
+        _emit_json({"n": args.n, "forms": expr._json_forms(), "terms": terms})
     else:
-        print(expr.pretty())
+        for chunk in expr._pretty_chunks():
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
 
 
 def _read_series(path: str) -> Series:
@@ -220,6 +250,16 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): no message, exit 1,
+        # and stdout goes to devnull so that the flush at exit cannot fail
+        # again (the recipe of the Python signal docs)
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # no file behind stdout
+            pass
+        return 1
     except (DistinctnessViolation, ExactDivisionError, RecursionError, OverflowError) as exc:
         print(f"dtmoments: computation failed: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 
 Exponents = tuple[int, ...]
 
@@ -157,11 +157,18 @@ def _rename_positions(source, target, mapping) -> list:
         raise ValueError(err.args[0]) from None
 
 
-def _order_key(term) -> tuple:
-    """The canonical term order: by total degree, then by exponent tuple
-    with earlier variables first."""
-    e = term[0]
-    return sum(e), tuple(-x for x in e)
+def _degree(term) -> int:
+    return sum(term[0])
+
+
+def _in_order(items) -> list:
+    """(exponents, coefficient) pairs in the canonical term order: by total
+    degree, then by exponent tuple with earlier variables first, larger
+    exponents first.  Two stable sorts, the second by degree, so that the
+    tuples compare in C instead of through a per-term key."""
+    out = sorted(items, key=itemgetter(0), reverse=True)
+    out.sort(key=_degree)
+    return out
 
 
 def _split(c) -> tuple:
@@ -170,9 +177,10 @@ def _split(c) -> tuple:
     return c.numerator, c.denominator
 
 
-def _json_terms(terms: dict) -> list:
+def _json_terms(items) -> list:
+    """JSON rows of (exponents, coefficient) pairs, in the canonical order."""
     out = []
-    for e, c in sorted(terms.items(), key=_order_key):
+    for e, c in _in_order(items):
         num, den = _split(c)
         out.append({"exps": list(e), "num": num, "den": den})
     return out
@@ -282,7 +290,7 @@ class Series:
     def sorted_terms(self) -> list[tuple[Exponents, object]]:
         """Terms in the canonical order: by total degree, then by exponent
         tuple with earlier registry variables first."""
-        return sorted(self.terms.items(), key=_order_key)
+        return _in_order(self.terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -490,7 +498,7 @@ class Series:
             "vars": list(self.registry.names),
             "N": self.registry.modulus,
             "D": self.trunc,
-            "terms": _json_terms(self.terms),
+            "terms": _json_terms(self.terms.items()),
         }
 
     @classmethod
@@ -572,12 +580,13 @@ def geometric(form: Series, trunc: int) -> Series:
 
 # -- packed-exponent kernel ---------------------------------------------------------
 #
-# Every packed dict in the package uses this one layout: the series
-# pipelines (genfun.f_series, RationalExpr.expand), the P numerators
-# (ratfun.p_polynomial) and the closed product (ratfun._odot_pair) run on
-# plain {monomial: coefficient} dicts whose monomials are packed ints.  They
-# pack once on entry and unpack once on exit, so Series.terms and
-# SymPoly.terms stay tuple-keyed.
+# The series pipelines (genfun.f_series, RationalExpr.expand) and the P
+# numerators (ratfun.p_polynomial) run on plain {monomial: coefficient}
+# dicts whose monomials are packed ints in this layout.  They pack once on
+# entry and unpack once on exit, so Series.terms and SymPoly.terms stay
+# tuple-keyed.  The numerators of rational terms stay packed for their
+# whole life, in a variant that ratfun describes: the same fields, with
+# the degree in the lowest field instead of on top.
 #
 # Layout for `size` variables and a degree bound D: variable i sits in the
 # bit field [i*w, (i+1)*w) with w = _width(D), and the total degree sits in
@@ -588,8 +597,7 @@ def geometric(form: Series, trunc: int) -> Series:
 # degree is <= D, and a total degree bounds every single exponent, so each
 # exponent field stays <= D < 2**w.  The one guard sits in _Packing.mono:
 # it raises OverflowError on an exponent that is negative or does not fit
-# its field.  The closed product's renaming loop, the hot spot, reads
-# .shifts and .top directly and rests on its degree bound alone.
+# its field.
 
 
 def _width(bound: int) -> int:

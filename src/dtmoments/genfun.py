@@ -26,7 +26,7 @@ from .fps import (
     _pshift,
 )
 from .moments import multinomial, n_value
-from .ratfun import RationalExpr, identity_form, odot_closed
+from .ratfun import RationalExpr, _ProductMemo, identity_form, odot_closed
 
 __all__ = [
     "check_conjecture",
@@ -134,6 +134,20 @@ def f_rational(n: int) -> RationalExpr:
     """The same generating function as a closed rational expression: a sum
     of monomial-prefixed fractions over products of (1 - permutation form).
 
+    Each term's numerator stays packed from the closed product to the
+    renderer (see ratfun.RationalTerm).  A call keeps two memos and drops
+    both when it returns: the placed factors, keyed by their hashable
+    (where, prefix) blueprint, since the split terms place the same lower
+    F_m many times; and the closed products' memo of pair-sum ids, keyed
+    by (u_id, v_id), with the packed pieces of P.  A pair sum found in the
+    memo still enters each product's table by key where it did before, so
+    the u1, u2, ... aliases are as without the memo.
+
+    Observed for n <= 6, not proved here: the denominator forms are
+    exactly the permutation forms sum_i z_i w_sigma(i) of the non-crossing
+    permutations sigma (|sigma| + |sigma^-1 c| = n - 1 for the long cycle
+    c), Catalan-many, and every form in the table has unit coefficients.
+
     May raise DistinctnessViolation if some graded product hits colliding
     denominator sums (not observed for n <= 7); series mode is unaffected.
     """
@@ -142,13 +156,17 @@ def f_rational(n: int) -> RationalExpr:
     registry = _registry(n)
     if n == 1:
         return RationalExpr.geometric_term(registry, identity_form(registry))
+    placed: dict = {}
+    memo = _ProductMemo(registry)
 
     def split_terms():
         for factors in _split_factors(n):
             term = None
-            for where, prefix in factors:
-                factor = _rational_factor(registry, where, prefix)
-                term = factor if term is None else odot_closed(term, factor)
+            for blueprint in factors:
+                if blueprint not in placed:
+                    placed[blueprint] = _rational_factor(registry, *blueprint)
+                factor = placed[blueprint]
+                term = factor if term is None else odot_closed(term, factor, memo)
             yield term
 
     return RationalExpr._sum(split_terms()).with_denominator(identity_form(registry))

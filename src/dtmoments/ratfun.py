@@ -11,17 +11,17 @@ rational expressions back into truncated series.
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, or_
 
 from .fps import (
     Series,
     VariableRegistry,
     _clean_terms,
     _immutable,
+    _in_order,
     _json_terms,
-    _order_key,
     _Packing,
     _padd_into,
     _pdiv_one_minus,
@@ -32,6 +32,7 @@ from .fps import (
     _tmul,
     _tremap,
     _tscale,
+    _width,
 )
 
 
@@ -144,7 +145,7 @@ class SymPoly:
         return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=_order_key)
+        return _in_order(self.terms.items())
 
     def _require_same(self, other: "SymPoly") -> None:
         if self.symbols != other.symbols:
@@ -210,34 +211,35 @@ class SymPoly:
 
     def pretty(self, names=None) -> str:
         """Human form, e.g. '2 - u1 - u2 - v1 - v2'."""
-        names = names or {s: s for s in self.symbols}
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = "".join(
-                f"{names[s]}" + (f"^{x}" if x > 1 else "")
-                for s, x in zip(self.symbols, e)
-                if x
-            )
-            num, den = _split(c)
-            mag = abs(num)
-            if den != 1:
-                body = f"({mag}/{den}){mono}" if mono else f"{mag}/{den}"
-            elif not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}{mono}"
-            if not pieces:
-                pieces.append(body if num > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if num > 0 else "- ") + body)
-        return " ".join(pieces)
+        return _poly_pretty(self.symbols, self.sorted_terms(), names)
 
     def to_json_dict(self) -> dict:
-        return {"symbols": list(self.symbols), "terms": _json_terms(self.terms)}
+        return {"symbols": list(self.symbols), "terms": _json_terms(self.terms.items())}
+
+
+def _poly_pretty(symbols, items, names=None) -> str:
+    """The human form of (exponents, coefficient) pairs over ``symbols``,
+    given in the canonical order; ``names`` maps a symbol to its display
+    name (the symbol itself by default)."""
+    labels = [names[s] for s in symbols] if names else symbols
+    pieces = []
+    for e, c in items:
+        mono = "".join([labels[i] if x == 1 else f"{labels[i]}^{x}" for i, x in enumerate(e) if x])
+        num, den = _split(c)
+        mag = abs(num)
+        if den != 1:
+            body = f"({mag}/{den}){mono}" if mono else f"{mag}/{den}"
+        elif not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}{mono}"
+        if not pieces:
+            pieces.append(body if num > 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if num > 0 else "- ") + body)
+    return " ".join(pieces) if pieces else "0"
 
 
 # -- the universal numerator polynomials ----------------------------------------------
@@ -341,12 +343,10 @@ def _display_order(registry: VariableRegistry) -> tuple:
 
 
 def _display_mono(registry: VariableRegistry, exps) -> str:
-    order = _display_order(registry)
     names = registry.names
+    order = _display_order(registry)
     return "".join(
-        f"{names[p]}" + (f"^{exps[p]}" if exps[p] > 1 else "")
-        for p in order
-        if exps[p]
+        [names[p] if exps[p] == 1 else f"{names[p]}^{exps[p]}" for p in order if exps[p]]
     )
 
 
@@ -416,13 +416,134 @@ def _check_prefix(registry: VariableRegistry, prefix: tuple) -> None:
         raise ValueError("prefix degree breaks the support constraint")
 
 
-@dataclass(frozen=True)
-class RationalTerm:
-    """prefix * numerator / prod_{id in denominator} (1 - form_id)."""
+# -- packed numerators ------------------------------------------------------------------
+#
+# A rational term keeps its numerator packed over its own tuple of form-id
+# fields, ``width`` bits a field: bit field 0 holds the total degree and bit
+# field i + 1 the exponent of fields[i].  A monomial product is one integer
+# addition (the degree field adds along) and a degree read is one mask.
+# With the degree at the bottom, a packed piece of P occupies the same bits
+# whatever else an output term holds, so the closed product packs each
+# piece once.  No field can wrap: the width comes from a bound on the total
+# degree, which bounds every exponent too.
 
-    prefix: tuple
-    numerator: SymPoly
-    denominator: tuple
+
+def _pack_tuples(terms: dict, slots, width: int) -> list:
+    """(packed monomial, coefficient) pairs of tuple-keyed ``terms`` whose
+    position p goes to bit field slots[p]; positions sharing a field add, and
+    a position that no term uses may have the slot None."""
+    out: dict = {}
+    for e, c in terms.items():
+        key = sum(e)
+        for slot, x in zip(slots, e):
+            if x:
+                key += x << (width * slot)
+        out[key] = out.get(key, 0) + c
+    return [(e, c) for e, c in out.items() if c]
+
+
+def _relayout(packed: dict, width: int, fields, slot: dict, dst_width: int) -> dict:
+    """The monomials of ``packed`` in another layout: fields[i] moves to the
+    bit field slot[fields[i]], ``dst_width`` bits wide.  ``slot`` sends
+    distinct fields to distinct bit fields, and a field it lacks must be
+    unused."""
+    mask = (1 << width) - 1
+    moves = [(width * i, dst_width * slot[s]) for i, s in enumerate(fields, 1) if s in slot]
+    out = {}
+    for e, c in packed.items():
+        key = e & mask
+        for src, dst in moves:
+            key += ((e >> src) & mask) << dst
+        out[key] = c
+    return out
+
+
+class RationalTerm:
+    """prefix * numerator / prod_{id in denominator} (1 - form_id).
+
+    The numerator is kept packed (see above): ``fields`` are its form ids in
+    bit-field order, ``packed`` maps packed monomials to nonzero
+    coefficients, and ``symbols`` holds the same ids in display order --
+    sorted for every term the package builds, as given for a term built
+    from a SymPoly.  The closed product, merging, renaming, expansion and
+    rendering read the packed form; the ``numerator`` property builds the
+    SymPoly on demand.  Terms compare by prefix, denominator and numerator,
+    whichever way their numerators are laid out.
+    """
+
+    __slots__ = ("prefix", "denominator", "symbols", "fields", "width", "packed")
+
+    def __init__(self, prefix, numerator: SymPoly, denominator):
+        if not isinstance(numerator, SymPoly):
+            raise TypeError("a term's numerator must be a SymPoly")
+        symbols = numerator.symbols
+        width = _width(numerator.degree())
+        packed = dict(_pack_tuples(numerator.terms, range(1, len(symbols) + 1), width))
+        self._fill(prefix, denominator, symbols, symbols, width, packed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalTerm is immutable")
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, prefix, denominator, symbols, fields, width, packed) -> "RationalTerm":
+        term = cls.__new__(cls)
+        term._fill(prefix, denominator, symbols, fields, width, packed)
+        return term
+
+    def _with(self, prefix, denominator) -> "RationalTerm":
+        """The same numerator over another prefix and denominator."""
+        return self._make(prefix, denominator, self.symbols, self.fields, self.width, self.packed)
+
+    def _numerator_items(self) -> list:
+        """The numerator's (exponent tuple over symbols, coefficient) pairs."""
+        mask = (1 << self.width) - 1
+        shifts = [self.width * (self.fields.index(s) + 1) for s in self.symbols]
+        return [(tuple([(e >> w) & mask for w in shifts]), c) for e, c in self.packed.items()]
+
+    @property
+    def numerator(self) -> SymPoly:
+        return SymPoly(self.symbols, dict(self._numerator_items()), _checked=True)
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalTerm):
+            return NotImplemented
+        if (self.prefix, self.denominator, self.symbols) != (
+            other.prefix, other.denominator, other.symbols
+        ):
+            return False
+        if (self.fields, self.width) == (other.fields, other.width):
+            return self.packed == other.packed
+        return self.numerator == other.numerator
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"RationalTerm(prefix={self.prefix!r}, numerator={self.numerator!r}, "
+            f"denominator={self.denominator!r})"
+        )
+
+
+def _added(a: RationalTerm, b: RationalTerm) -> RationalTerm:
+    """a + b for two terms of one prefix and denominator: the numerators add
+    over the union of their fields, a's first.  The symbols are the sorted
+    union, kept even where the sum cancels one of them."""
+    fields = a.fields + tuple(s for s in b.fields if s not in a.fields)
+    width = max(a.width, b.width)
+    slot = {s: i for i, s in enumerate(fields, 1)}
+    packed = (
+        dict(a.packed) if width == a.width else _relayout(a.packed, a.width, a.fields, slot, width)
+    )
+    if width == b.width and b.fields == fields[: len(b.fields)]:
+        _padd_into(packed, b.packed)
+    else:
+        _padd_into(packed, _relayout(b.packed, b.width, b.fields, slot, width))
+    symbols = tuple(sorted(set(a.symbols) | set(b.symbols)))
+    return RationalTerm._make(a.prefix, a.denominator, symbols, fields, width, packed)
 
 
 class RationalExpr:
@@ -443,7 +564,7 @@ class RationalExpr:
             for fid in t.denominator:
                 if fid not in table:
                     raise ValueError(f"denominator id {fid!r} missing from the form table")
-            for s in t.numerator.symbols:
+            for s in t.symbols:
                 if s not in table:
                     raise ValueError(f"numerator symbol {s!r} missing from the form table")
         self.terms = tuple(terms)
@@ -492,14 +613,9 @@ class RationalExpr:
         keyed: dict = {}
         for t in terms:
             key = (t.prefix, t.denominator)
-            if key in keyed:
-                old = keyed[key]
-                syms = tuple(sorted(set(old.numerator.symbols) | set(t.numerator.symbols)))
-                num = old.numerator.with_symbols(syms) + t.numerator.with_symbols(syms)
-                keyed[key] = RationalTerm(t.prefix, num, t.denominator)
-            else:
-                keyed[key] = t
-        return [t for t in keyed.values() if not t.numerator.is_zero()]
+            old = keyed.get(key)
+            keyed[key] = t if old is None else _added(old, t)
+        return [t for t in keyed.values() if t.packed]
 
     @classmethod
     def _sum(cls, exprs) -> "RationalExpr":
@@ -530,28 +646,22 @@ class RationalExpr:
     def scale_prefix(self, exps) -> "RationalExpr":
         exps = tuple(exps)
         _check_prefix(self.registry, exps)
-        terms = [
-            RationalTerm(
-                tuple(a + b for a, b in zip(t.prefix, exps)), t.numerator, t.denominator
-            )
-            for t in self.terms
-        ]
+        terms = [t._with(tuple(map(add, t.prefix, exps)), t.denominator) for t in self.terms]
         return RationalExpr(self.registry, self.table, terms, _checked=True)
 
     def with_denominator(self, form: Series) -> "RationalExpr":
         """Multiply the whole expression by 1/(1 - form)."""
         table = self.table.copy()
         fid = table.add(form)
-        terms = [
-            RationalTerm(t.prefix, t.numerator, tuple(sorted(t.denominator + (fid,))))
-            for t in self.terms
-        ]
+        terms = [t._with(t.prefix, tuple(sorted(t.denominator + (fid,)))) for t in self.terms]
         return RationalExpr(self.registry, table, terms, _checked=True)
 
     def substitute(self, target: VariableRegistry, name_map: dict) -> "RationalExpr":
         """Rename variables into another registry; form ids are recomputed.
         ``name_map`` runs Series.rename's checks once per call, so an
-        expression without forms is checked too."""
+        expression without forms is checked too.  A renaming keeps distinct
+        forms distinct, so each numerator keeps its packed terms and only
+        its fields are relabelled."""
         where = _rename_positions(self.registry, target, name_map)
         table = FormTable(target)
         rename: dict[str, str] = {}
@@ -562,10 +672,16 @@ class RationalExpr:
         for t in self.terms:
             # the prefix is one monomial: remapped as a one-term dict
             (prefix,) = _tremap({t.prefix: 1}, where, target.size)
-            new_syms = tuple(sorted({rename[s] for s in t.numerator.symbols}))
-            num = t.numerator.with_symbols(new_syms, rename)
-            den = tuple(sorted(rename[fid] for fid in t.denominator))
-            terms.append(RationalTerm(prefix, num, den))
+            terms.append(
+                RationalTerm._make(
+                    prefix,
+                    tuple(sorted(rename[fid] for fid in t.denominator)),
+                    tuple(sorted(rename[s] for s in t.symbols)),
+                    tuple(rename[s] for s in t.fields),
+                    t.width,
+                    t.packed,
+                )
+            )
         return RationalExpr(target, table, terms, _checked=True)
 
     # -- evaluation --
@@ -574,13 +690,14 @@ class RationalExpr:
         """The expression as a series truncated at total degree ``trunc``.
 
         Runs on packed exponents (the fps kernel): each numerator is
-        evaluated at the packed forms, divided by each denominator 1 - u
-        slice by slice in degree, and shifted by its prefix; the sum is
-        unpacked once at the end.  A form that every term's denominator
-        holds (f_rational puts the identity form in all of them) divides
-        the summed parts once instead of each part: division by 1 - u is
-        linear and commutes with the prefix shift.  The tests check it
-        against the direct route, multiplication by ``geometric(u, D)``.
+        evaluated at the packed forms, read field by field off its packed
+        terms, divided by each denominator 1 - u slice by slice in degree,
+        and shifted by its prefix; the sum is unpacked once at the end.  A
+        form that every term's denominator holds (f_rational puts the
+        identity form in all of them) divides the summed parts once instead
+        of each part: division by 1 - u is linear and commutes with the
+        prefix shift.  The tests check it against the direct route,
+        multiplication by ``geometric(u, D)``.
         """
         packing = _Packing(self.registry.size, trunc)
         top = packing.top
@@ -601,11 +718,17 @@ class RationalExpr:
             budget = trunc - sum(t.prefix)
             if budget < 0:
                 continue
+            mask = (1 << t.width) - 1
+            shifts = [(s, t.width * (t.fields.index(s) + 1)) for s in t.symbols]
             # part may keep terms above the budget: the division by each
             # 1 - u and the prefix shift drop them
             part: dict = {}
-            for e, c in t.numerator.terms.items():
-                factors = [power(s, x) for s, x in zip(t.numerator.symbols, e) if x]
+            for e, c in t.packed.items():
+                factors = []
+                for s, w in shifts:
+                    x = (e >> w) & mask
+                    if x:
+                        factors.append(power(s, x))
                 mono = factors[0] if factors else {0: 1}
                 for f in factors[1:]:
                     mono = _pmul_trunc(mono, f, top, budget)
@@ -624,66 +747,109 @@ class RationalExpr:
     # -- rendering --
 
     def pretty(self) -> str:
+        return "".join(self._pretty_chunks())
+
+    def _pretty_chunks(self):
+        """pretty() piece by piece: each form line, then each term, so that
+        a caller can write out a large expression without holding its text."""
         alias = self.table.display_names()
-        lines = [f"{alias[fid]} = {fid}" for fid in self.table.forms]
-        pieces = []
-        for t in self.terms:
+        for fid in self.table.forms:
+            yield f"{alias[fid]} = {fid}\n"
+        if not self.terms:
+            yield "0"
+        for i, t in enumerate(self.terms):
             mono = _display_mono(self.registry, t.prefix)
-            num = t.numerator.pretty(names=alias)
+            items = _in_order(t._numerator_items())
+            num = _poly_pretty(t.symbols, items, alias)
             if num == "1":
                 top = mono or "1"
-            elif len(t.numerator.terms) > 1 or mono:
+            elif len(items) > 1 or mono:
                 top = f"{mono}({num})" if mono else f"({num})"
             else:
                 top = num
             den = "".join(f"(1-{alias[fid]})" for fid in t.denominator)
             if len(t.denominator) > 1:
                 den = f"({den})"
-            pieces.append(f"{top}/{den}" if den else top)
-        lines.append(" + ".join(pieces) if pieces else "0")
-        return "\n".join(lines)
+            yield (" + " if i else "") + (f"{top}/{den}" if den else top)
 
     def to_json_dict(self) -> dict:
-        pairs = self.registry.pair_count
-        terms = []
-        for t in self.terms:
-            zs: list[int] = []
-            ws: list[int] = []
-            for i in range(pairs):
-                zs.extend([i + 1] * t.prefix[2 * i])
-                ws.extend([i + 1] * t.prefix[2 * i + 1])
-            terms.append(
-                {
-                    "prefix": {"z": zs, "w": ws},
-                    "numerator": t.numerator.to_json_dict(),
-                    "denominator": list(t.denominator),
-                }
-            )
+        return {"terms": [self._json_term(t) for t in self.terms], "forms": self._json_forms()}
+
+    def _json_forms(self) -> dict:
+        return {fid: f.to_json_dict() for fid, f in self.table.forms.items()}
+
+    def _json_term(self, t: RationalTerm) -> dict:
+        """One entry of to_json_dict's terms, so that a caller can write the
+        terms out one at a time."""
+        zs: list[int] = []
+        ws: list[int] = []
+        for i in range(self.registry.pair_count):
+            zs.extend([i + 1] * t.prefix[2 * i])
+            ws.extend([i + 1] * t.prefix[2 * i + 1])
         return {
-            "terms": terms,
-            "forms": {fid: f.to_json_dict() for fid, f in self.table.forms.items()},
+            "prefix": {"z": zs, "w": ws},
+            "numerator": {"symbols": list(t.symbols), "terms": _json_terms(t._numerator_items())},
+            "denominator": list(t.denominator),
         }
 
 
 # -- the closed product ------------------------------------------------------------------
 
 
+class _ProductMemo:
+    """What the closed products over one registry may share: the id and form
+    of each pair sum u + v, keyed by (u_id, v_id) -- ids fix forms within a
+    registry -- the pieces of P packed for the products' numerators, and
+    one int object per packed monomial value for their keys.  f_rational
+    keeps one for the length of a call; odot_closed makes one per call when
+    it is given none."""
+
+    __slots__ = ("registry", "sums", "pieces", "keys")
+
+    def __init__(self, registry: VariableRegistry):
+        self.registry = registry
+        self.sums: dict = {}
+        self.pieces: dict = {}
+        self.keys: dict = {}  # packed monomial -> the one object of that value
+
+    def piece(self, m: int, n: int, k: int, l: int) -> list:
+        """[degree, used, packed]: the degree of P^{k,l}_{m,n}, the positions
+        of the u/v symbols it uses in u1..um, v1..vn order, and its terms
+        packed with used[j] in bit field j + 1, by field width."""
+        key = (m, n, k, l)
+        if key not in self.pieces:
+            poly = p_polynomial(m, n, k, l)
+            used = tuple(p for p in range(m + n) if any(e[p] for e in poly.terms))
+            self.pieces[key] = [poly.degree(), used, {}]
+        return self.pieces[key]
+
+    def packed_piece(self, m: int, n: int, k: int, l: int, width: int) -> list:
+        _, used, packed = self.piece(m, n, k, l)
+        if width not in packed:
+            slots = [None] * (m + n)
+            for j, p in enumerate(used, 1):
+                slots[p] = j
+            packed[width] = _pack_tuples(p_polynomial(m, n, k, l).terms, slots, width)
+        return packed[width]
+
+
 def _odot_pair(
-    registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTerm, sums: dict
+    registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTerm, memo: _ProductMemo
 ) -> RationalTerm:
     """One term pair of the closed product.
 
-    ``sums`` is the calling odot_closed's memo of pair sums, keyed by
-    (u_id, v_id) with value the id of u + v; it lives for that one call,
-    where the pair of ids fixes the sum.  A sum enters ``table`` through
-    ``table.add`` when the memo first builds it, so the table keeps its
-    row-major order: this pair's new sums, then its numerator symbols,
-    which move over from the operand tables by id.
+    A pair sum comes from ``memo`` when an earlier pair built it, and
+    enters ``table`` by key where table.add would have put it, so the table
+    keeps its row-major order: this pair's sums, then its numerator
+    symbols, which move over from the operand tables by id.
 
-    The numerator is built on one packed dict over the output symbols: each
-    P^{k,l}_{m,n} piece is renamed into the u/v positions once per
-    (k_eff, l_eff), then every numerator term pair adds its base monomial
-    e1 + e2 to the piece's terms and scales them by c1 * c2.
+    The numerator is built packed and stays packed.  The output layout puts
+    the u/v symbols that the needed pieces of P use first, in u/v order,
+    then the operands' other fields, sorted; a piece from the memo then sits
+    in place as it is, and each operand numerator is moved into the layout
+    once per pair.  Every numerator term pair adds its base monomial e1 + e2
+    to the piece's terms and scales them by c1 * c2.  A field that no output
+    term uses is dropped at the end.
     """
     m = len(t1.denominator)
     n = len(t2.denominator)
@@ -692,12 +858,17 @@ def _odot_pair(
     N = registry.modulus
     u_ids = t1.denominator
     v_ids = t2.denominator
+    sums = memo.sums
     flat = []
     for a in u_ids:
         for b in v_ids:
-            fid = sums.get((a, b))
-            if fid is None:
-                fid = sums[a, b] = table.add(forms1[a] + forms2[b])
+            known = sums.get((a, b))
+            if known is None:
+                fid = table.add(forms1[a] + forms2[b])
+                sums[a, b] = fid, table.forms[fid]
+            else:
+                fid, form = known
+                table.forms.setdefault(fid, form)
             flat.append(fid)
     if len(set(flat)) != m * n:
         collisions = sorted(fid for fid, cnt in Counter(flat).items() if cnt > 1)
@@ -707,83 +878,94 @@ def _odot_pair(
 
     k_pref = sum(t1.prefix) // N
     l_pref = sum(t2.prefix) // N
-    num1 = t1.numerator
-    num2 = t2.numerator
-    out_syms = tuple(sorted(set(u_ids) | set(v_ids) | set(num1.symbols) | set(num2.symbols)))
-    # an output term has degree <= deg P + deg num1 + deg num2, and deg P
-    # is bounded as in _p_packing
-    packing = _Packing(len(out_syms), (m - 1) * n + m + n - 2 + num1.degree() + num2.degree())
-    # renaming P's terms is the hot loop, so it reads the layout directly:
-    # a symbol's unit is one in its own field plus one in the degree field
-    unit = {s: (1 << w) + (1 << packing.top) for s, w in zip(out_syms, packing.shifts)}
-
-    def packed(symbols, exps) -> int:
-        return sum([x * unit[s] for s, x in zip(symbols, exps) if x])
-
+    degs1 = {e & ((1 << t1.width) - 1) for e in t1.packed}
+    degs2 = {e & ((1 << t2.width) - 1) for e in t2.packed}
+    if degs1 and degs2 and (k_pref + max(degs1) > m - 1 or l_pref + max(degs2) > n - 1):
+        raise ValueError("closed product needs (prefix + numerator) shorter than the denominator")
+    needed = {
+        (k_pref + d1, l_pref + d2): memo.piece(m, n, k_pref + d1, l_pref + d2)
+        for d1 in degs1
+        for d2 in degs2
+    }
+    # an output term has degree <= deg P + deg num1 + deg num2
+    width = _width(
+        max((d for d, _, _ in needed.values()), default=0)
+        + max(degs1, default=0)
+        + max(degs2, default=0)
+    )
+    used = sorted(set().union(*(u for _, u, _ in needed.values())))
     uv = u_ids + v_ids
-    right = [(sum(e2), packed(num2.symbols, e2), c2) for e2, c2 in num2.terms.items()]
-    pieces: dict = {}
+    fields = list(dict.fromkeys(uv[p] for p in used))
+    in_place = len(fields) == len(used)  # no u equals a v among them
+    fields += sorted((set(t1.fields) | set(t2.fields)) - set(fields))
+    slot = {s: i for i, s in enumerate(fields, 1)}
+    pieces = {}
+    for (k, l), (_, piece_used, _) in needed.items():
+        if in_place and len(piece_used) in (0, len(used)):
+            pieces[k, l] = memo.packed_piece(m, n, k, l, width)
+        else:
+            slots = [slot.get(s) for s in uv]
+            pieces[k, l] = _pack_tuples(p_polynomial(m, n, k, l).terms, slots, width)
+
+    mask = (1 << width) - 1
+    right = _relayout(t2.packed, t2.width, t2.fields, slot, width)
+    # per k_eff, the right terms with the piece each one meets
+    rows = {
+        k: [(b2, c2, pieces[k, l_pref + (b2 & mask)]) for b2, c2 in right.items()]
+        for k in {k_pref + d1 for d1 in degs1}
+    }
     acc: dict = {}
     get = acc.get
-    for e1, c1 in num1.terms.items():
-        k_eff = k_pref + sum(e1)
-        b1 = packed(num1.symbols, e1)
-        for d2, b2, c2 in right:
-            l_eff = l_pref + d2
-            if k_eff > m - 1 or l_eff > n - 1:
-                raise ValueError(
-                    "closed product needs (prefix + numerator) shorter than the denominator"
-                )
-            piece = pieces.get((k_eff, l_eff))
-            if piece is None:
-                piece = pieces[k_eff, l_eff] = [
-                    (packed(uv, e), c) for e, c in p_polynomial(m, n, k_eff, l_eff).terms.items()
-                ]
+    for b1, c1 in _relayout(t1.packed, t1.width, t1.fields, slot, width).items():
+        for b2, c2, piece in rows[k_pref + (b1 & mask)]:
             base = b1 + b2
             c = c1 * c2
             for e, pc in piece:
                 e += base
                 acc[e] = get(e, 0) + c * pc
-    acc = {e: c for e, c in acc.items() if c}
-    # unpack onto the fields that some term uses: OR-ing the keys shows them
-    used = 0
-    for e in acc:
-        used |= e
-    mask = packing.mask
-    fields = [(s, w) for s, w in zip(out_syms, packing.shifts) if (used >> w) & mask]
-    shifts = [w for _, w in fields]
-    num = SymPoly(
-        tuple(s for s, _ in fields),
-        {tuple([(e >> w) & mask for w in shifts]): c for e, c in acc.items()},
-        _checked=True,
-    )
+    # equal monomials recur across the products of one memo, so the output
+    # keys share one int object per value: at n = 7 the 4.76 M numerator
+    # terms of F_7 have 84,528 distinct keys
+    share = memo.keys.setdefault
+    acc = {share(e, e): c for e, c in acc.items() if c}
+    seen = reduce(or_, acc, 0)
+    kept = [s for s in fields if (seen >> (width * slot[s])) & mask]
+    if len(kept) < len(fields):
+        acc = _relayout(acc, width, fields, {s: i for i, s in enumerate(kept, 1)}, width)
+        acc = {share(e, e): c for e, c in acc.items()}
+        fields = kept
 
-    for s in num.symbols:
+    symbols = tuple(sorted(fields))
+    for s in symbols:
         table.forms.setdefault(s, forms1[s] if s in forms1 else forms2[s])
-    prefix = tuple(a + b for a, b in zip(t1.prefix, t2.prefix))
-    return RationalTerm(prefix, num, tuple(sorted(flat)))
+    prefix = tuple(map(add, t1.prefix, t2.prefix))
+    return RationalTerm._make(prefix, tuple(sorted(flat)), symbols, tuple(fields), width, acc)
 
 
-def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
+def odot_closed(e1: RationalExpr, e2: RationalExpr, memo=None) -> RationalExpr:
     """Graded product of two rational expressions in closed form.
 
     Works term pair by term pair; every pair must satisfy the distinctness
     precondition (all sums u_i + v_j different), otherwise
     DistinctnessViolation propagates to the caller and the call's table is
     dropped.  Each sum u + v is built and its form id rendered once per
-    call: a memo keyed by (u_id, v_id) holds the sum's id, lives for this
-    call only and feeds every pair, which still runs all of its checks.
+    memo: ``memo`` holds the pair sums and the packed pieces of P that
+    earlier products over the same registry made (f_rational passes one per
+    call), and a fresh one serves this call alone when it is None.  Every
+    pair still runs all of its checks.
     """
     if e1.registry != e2.registry:
         raise ValueError("operands live over different variable registries")
+    if memo is None:
+        memo = _ProductMemo(e1.registry)
+    elif memo.registry != e1.registry:
+        raise ValueError("the product memo serves another variable registry")
     table = FormTable(e1.registry)
-    sums: dict = {}
-    terms = []
-    for t1 in e1.terms:
-        for t2 in e2.terms:
-            terms.append(
-                _odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2, sums)
-            )
+    terms = [
+        _odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2, memo)
+        for t1 in e1.terms
+        for t2 in e2.terms
+    ]
     return RationalExpr(e1.registry, table, RationalExpr._merged(terms), _checked=True)
 
 

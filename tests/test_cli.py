@@ -121,6 +121,64 @@ def test_rational_reports_are_pinned(capsys):
     assert digest.hexdigest() == RATIONAL_REPORTS_SHA256
 
 
+def test_streamed_json_matches_json_dumps(capsys):
+    from dtmoments.cli import _emit_json
+
+    payload = {"b": [1, {"y": [2, 3], "x": "\u00e9"}], "a": {}, "n": 3, "e": []}
+    streamed = dict(payload, b=iter(payload["b"]), e=iter([]))
+    _emit_json(streamed)
+    expected = json.dumps({"version": "0.1.0", **payload}, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == expected
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises, as a pipe does
+    once `head` has read enough."""
+
+    def __init__(self, room=0):
+        self.room = room
+
+    def write(self, text):
+        self.room -= len(text)
+        if self.room < 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.room < 0:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, room",
+    [
+        (("moment", "--key", "1,1,1,1"), 0),
+        (("rational", "--n", "4"), 100),
+        (("rational", "--n", "4", "--output", "json"), 100),
+        (("series", "--n", "2", "--D", "8"), 10),
+    ],
+)
+def test_closed_stdout_is_a_silent_exit_1(monkeypatch, capsys, argv, room):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(room))
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_from_the_shell_is_silent():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dtmoments", "rational", "--n", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(64)) == 64
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # a pipe that never reports the closed reader lets the write finish
+    assert proc.wait(timeout=60) in (0, 1)
+    assert err == b""
+
+
 # ---------------------------------------------------------------- odot / etransform
 
 def test_odot_of_files_matches_library(tmp_path, capsys):

@@ -260,6 +260,21 @@ def test_rational_five_pairs_has_distinct_sums():
     assert f_rational(5).expand(4) == f_series(5, 4)
 
 
+def test_rational_seven_pairs_expands_to_the_series_over_non_crossing_forms():
+    # built uncached, so its 4.76 M numerator terms are freed with the test
+    expr = f_rational.__wrapped__(7)
+    assert len(expr.terms) == 13602
+    assert expr.expand(6) == f_series(7, 6)
+    forms = expr.table.forms
+    denominators = {fid for t in expr.terms for fid in t.denominator}
+    got = sorted(sorted(forms[fid].terms.items()) for fid in denominators)
+    expected = sorted(
+        sorted(permutation_form(expr.registry, sigma).terms.items()) for sigma in _non_crossing(7)
+    )
+    assert len(expected) == 429
+    assert got == expected
+
+
 # sha256 of f_rational(2..6) rendered as pretty() then sorted-key JSON, each
 # expression in turn; any change to the forms, their ids, the table order or
 # the numerators changes it

@@ -31,6 +31,22 @@ def test_validate_key_shapes():
             validate_key(bad)
 
 
+class _Count(int):
+    """An int subclass other than bool."""
+
+
+@pytest.mark.parametrize("entry", [True, False, -2, 1.0])
+def test_validate_key_names_the_bad_entry(entry):
+    with pytest.raises(ValueError, match=rf"integers >= -1, got {entry!r}$"):
+        validate_key((1, 1, entry, 0))
+
+
+def test_validate_key_takes_int_subclasses_but_not_bool():
+    key = validate_key((_Count(2), 1, 1, _Count(2)))
+    assert key == (2, 1, 1, 2)
+    assert type(key[0]) is _Count
+
+
 def test_parse_key():
     assert parse_key("1,1,2,0") == (1, 1, 2, 0)
     assert parse_key(" 3 , 3 ") == (3, 3)
