@@ -143,10 +143,11 @@ def f_rational(n: int) -> RationalExpr:
     memo still enters each product's table by key where it did before, so
     the u1, u2, ... aliases are as without the memo.
 
-    Observed for n <= 6, not proved here: the denominator forms are
-    exactly the permutation forms sum_i z_i w_sigma(i) of the non-crossing
-    permutations sigma (|sigma| + |sigma^-1 c| = n - 1 for the long cycle
-    c), Catalan-many, and every form in the table has unit coefficients.
+    Observed for n <= 7 by the tests, not proved here nor taken from the
+    paper: the denominator forms are exactly the permutation forms
+    sum_i z_i w_sigma(i) of the non-crossing permutations sigma (those with
+    |sigma| + |sigma^-1 c| = n - 1 for the long cycle c(i) = i - 1 mod n),
+    Catalan-many, and every form in the table has unit coefficients.
 
     May raise DistinctnessViolation if some graded product hits colliding
     denominator sums (not observed for n <= 7); series mode is unaffected.

@@ -485,6 +485,7 @@ class RationalTerm:
         raise AttributeError("RationalTerm is immutable")
 
     def _fill(self, *values) -> None:
+        """Set every slot once, ``values`` in __slots__ order."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

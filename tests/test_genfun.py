@@ -233,18 +233,18 @@ def _non_crossing(n: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("n, catalan", [(2, 2), (3, 5), (4, 14), (5, 42), (6, 132)])
-def test_rational_denominators_are_the_non_crossing_permutation_forms(n, catalan):
-    # observed for n <= 6: the denominator forms are exactly the permutation
-    # forms of NC(n); the table's other forms are partial (fewer than n
-    # terms) and serve only as numerator symbols
-    expr = f_rational(n)
+def _assert_non_crossing_denominators(expr, catalan):
+    """The denominator forms of f_rational(n) are exactly the permutation
+    forms of NC(n), ``catalan`` of them; the table's other forms are partial
+    (fewer than n terms) and serve only as numerator symbols; every form
+    has unit coefficients."""
+    n = expr.registry.pair_count
     forms = expr.table.forms
-    registry = expr.registry
     denominators = {fid for t in expr.terms for fid in t.denominator}
     got = sorted(sorted(forms[fid].terms.items()) for fid in denominators)
     expected = sorted(
-        sorted(permutation_form(registry, sigma).terms.items()) for sigma in _non_crossing(n)
+        sorted(permutation_form(expr.registry, sigma).terms.items())
+        for sigma in _non_crossing(n)
     )
     assert len(expected) == catalan
     assert got == expected
@@ -252,6 +252,11 @@ def test_rational_denominators_are_the_non_crossing_permutation_forms(n, catalan
         assert set(form.terms.values()) == {1}, fid
         if fid not in denominators:
             assert len(form.terms) < n, fid
+
+
+@pytest.mark.parametrize("n, catalan", [(2, 2), (3, 5), (4, 14), (5, 42), (6, 132)])
+def test_rational_denominators_are_the_non_crossing_permutation_forms(n, catalan):
+    _assert_non_crossing_denominators(f_rational(n), catalan)
 
 
 def test_rational_five_pairs_has_distinct_sums():
@@ -265,14 +270,7 @@ def test_rational_seven_pairs_expands_to_the_series_over_non_crossing_forms():
     expr = f_rational.__wrapped__(7)
     assert len(expr.terms) == 13602
     assert expr.expand(6) == f_series(7, 6)
-    forms = expr.table.forms
-    denominators = {fid for t in expr.terms for fid in t.denominator}
-    got = sorted(sorted(forms[fid].terms.items()) for fid in denominators)
-    expected = sorted(
-        sorted(permutation_form(expr.registry, sigma).terms.items()) for sigma in _non_crossing(7)
-    )
-    assert len(expected) == 429
-    assert got == expected
+    _assert_non_crossing_denominators(expr, 429)
 
 
 # sha256 of f_rational(2..6) rendered as pretty() then sorted-key JSON, each
