@@ -580,28 +580,30 @@ def geometric(form: Series, trunc: int) -> Series:
 
 # -- packed-exponent kernel ---------------------------------------------------------
 #
-# The series pipelines (genfun.f_series, RationalExpr.expand) and the P
-# numerators (ratfun.p_polynomial) run on plain {monomial: coefficient}
-# dicts whose monomials are packed ints in this layout.  They pack once on
-# entry and unpack once on exit, so Series.terms and SymPoly.terms stay
-# tuple-keyed.  The numerators of rational terms stay packed for their
-# whole life, in a variant that ratfun describes: the same fields, with
-# the degree in the lowest field instead of on top.
+# Every packed dict in the package uses this one layout: the series
+# pipelines (genfun.f_series, RationalExpr.expand), the P numerators
+# (ratfun.p_polynomial) and the numerators of rational terms, which stay
+# packed from the closed product to the renderer, run on plain
+# {monomial: coefficient} dicts whose monomials are packed ints.  The
+# series pipelines pack once on entry and unpack once on exit, so
+# Series.terms and SymPoly.terms stay tuple-keyed.
 #
-# Layout for `size` variables and a degree bound D: variable i sits in the
-# bit field [i*w, (i+1)*w) with w = _width(D), and the total degree sits in
-# a field on top, from bit size*w up.  A monomial product is one integer
-# addition (the degree fields add along) and a degree read is one shift.
+# Layout for `size` variables and a degree bound D, with w = _width(D): the
+# total degree sits in the lowest bit field [0, w) and variable i in the
+# field [(i+1)*w, (i+2)*w).  A monomial product is one integer addition
+# (the degree fields add along) and a degree read is one mask.  Since the
+# degree sits at the bottom, a variable keeps its bits however many
+# variables follow it.
 #
 # No field can wrap: every operation forms a product only when its total
 # degree is <= D, and a total degree bounds every single exponent, so each
-# exponent field stays <= D < 2**w.  The one guard sits in _Packing.mono:
-# it raises OverflowError on an exponent that is negative or does not fit
-# its field.
+# field stays <= D < 2**w.  The one guard sits in _Packing.mono: it raises
+# OverflowError on an exponent that is negative or on a monomial whose
+# degree does not fit a field.
 
 
 def _width(bound: int) -> int:
-    """Bits per exponent field for polynomials of total degree <= bound."""
+    """Bits per field for polynomials of total degree <= bound."""
     return max(1, bound.bit_length())
 
 
@@ -617,21 +619,24 @@ def _padd_into(acc: dict, terms: dict, c=1) -> None:
 
 
 class _Packing:
-    """The packed layout for ``size`` variables of total degree <= bound."""
+    """The packed layout for ``size`` variables of total degree <= bound.
+    ``mask`` reads the degree field, and ``shifts[i]`` is where variable i
+    starts."""
 
-    __slots__ = ("width", "top", "shifts", "mask")
+    __slots__ = ("width", "shifts", "mask")
 
     def __init__(self, size: int, bound: int):
         self.width = _width(bound)
-        self.top = size * self.width
-        self.shifts = tuple(self.width * i for i in range(size))
+        self.shifts = tuple(self.width * i for i in range(1, size + 1))
         self.mask = (1 << self.width) - 1
 
     def mono(self, exps) -> int:
-        key = sum(exps) << self.top
+        key = sum(exps)
+        if key > self.mask:
+            raise OverflowError(f"degree {key} does not fit a {self.width}-bit field")
         for x, s in zip(exps, self.shifts):
-            if not 0 <= x <= self.mask:
-                raise OverflowError(f"exponent {x} does not fit a {self.width}-bit field")
+            if x < 0:
+                raise OverflowError(f"exponent {x} is negative")
             key += x << s
         return key
 
@@ -639,16 +644,20 @@ class _Packing:
         """Tuple-keyed terms packed; terms of degree > limit are dropped."""
         return {self.mono(e): c for e, c in terms.items() if sum(e) <= limit}
 
-    def unpack(self, terms: dict) -> dict:
-        mask, shifts = self.mask, self.shifts
+    def unpack(self, terms: dict, order=None) -> dict:
+        """Packed terms as tuples over the variables in ``order`` (all of
+        them, in layout order, by default)."""
+        mask = self.mask
+        shifts = self.shifts if order is None else [self.shifts[i] for i in order]
         return {tuple([(e >> s) & mask for s in shifts]): c for e, c in terms.items()}
 
 
-def _slices(terms: dict, top: int, limit: int) -> dict:
-    """degree -> the (monomial, coefficient) pairs of that degree <= limit."""
+def _slices(terms: dict, mask: int, limit: int) -> dict:
+    """degree -> the (monomial, coefficient) pairs of that degree <= limit;
+    ``mask`` is the layout's degree mask, as in every kernel function."""
     out: dict = {}
     for e, c in terms.items():
-        d = e >> top
+        d = e & mask
         if d <= limit:
             if d in out:
                 out[d].append((e, c))
@@ -657,13 +666,13 @@ def _slices(terms: dict, top: int, limit: int) -> dict:
     return out
 
 
-def _pmul_trunc(a: dict, b: dict, top: int, limit: int, weight=None) -> dict:
+def _pmul_trunc(a: dict, b: dict, mask: int, limit: int, weight=None) -> dict:
     """a * b without the terms of degree > limit.  With ``weight``, a term
     pair of degrees (d1, d2) picks up the factor weight(d1, d2)."""
-    right = _slices(b, top, limit)
+    right = _slices(b, mask, limit)
     out: dict = {}
     get = out.get
-    for d1, lterms in _slices(a, top, limit).items():
+    for d1, lterms in _slices(a, mask, limit).items():
         for d2, rterms in right.items():
             if d1 + d2 > limit:
                 continue
@@ -676,44 +685,50 @@ def _pmul_trunc(a: dict, b: dict, top: int, limit: int, weight=None) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _podot(a: dict, b: dict, top: int, limit: int, modulus: int) -> dict:
+def _podot(a: dict, b: dict, mask: int, limit: int, modulus: int) -> dict:
     """The graded product: a term pair of levels (k, l) = (d1/N, d2/N)
     picks up C(k+l, k), read off the degree fields."""
     def weight(d1, d2):
         return math.comb((d1 + d2) // modulus, d1 // modulus)
 
-    return _pmul_trunc(a, b, top, limit, weight)
+    return _pmul_trunc(a, b, mask, limit, weight)
 
 
 def _premap(terms: dict, src: _Packing, dst: _Packing, where) -> dict:
-    """Send variable i of ``src`` to variable where[i] of ``dst``; both
-    layouts must share one field width.  Source variables that land on
-    consecutive target variables move together, as one masked block."""
+    """Send variable i of ``src`` to variable where[i] of ``dst``, which is
+    None for a variable that no term uses.  The targets must be distinct
+    and the degrees must fit ``dst``.  Where both layouts share one width,
+    source variables that land on consecutive target variables move
+    together, as one masked block."""
     runs = []  # [first source variable, first target variable, length]
     for i, t in enumerate(where):
-        if runs and runs[-1][1] + runs[-1][2] == t:
-            runs[-1][2] += 1
+        if t is None:
+            continue
+        last = runs[-1] if runs else None
+        if last and src.width == dst.width and last[0] + last[2] == i and last[1] + last[2] == t:
+            last[2] += 1
         else:
             runs.append([i, t, 1])
     width = src.width
-    moves = [(width * i, (1 << (width * k)) - 1, width * t) for i, t, k in runs]
-    top, dtop = src.top, dst.top
+    moves = [(src.shifts[i], (1 << (width * k)) - 1, dst.shifts[t]) for i, t, k in runs]
+    mask = src.mask
     out = {}
     for e, c in terms.items():
-        key = (e >> top) << dtop
-        for s, mask, t in moves:
-            key += ((e >> s) & mask) << t
+        key = e & mask
+        for s, block, t in moves:
+            key += ((e >> s) & block) << t
         out[key] = c
     return out
 
 
-def _pshift(terms: dict, mono: int, top: int, limit: int) -> dict:
-    """Multiply by one packed monomial, dropping terms pushed past limit."""
-    room = limit - (mono >> top)
-    return {e + mono: c for e, c in terms.items() if e >> top <= room}
+def _pshift(terms: dict, mono: int, mask: int, limit: int) -> dict:
+    """Multiply by one packed monomial, dropping terms pushed past limit;
+    the monomial's own degree must be <= limit."""
+    room = limit - (mono & mask)
+    return {e + mono: c for e, c in terms.items() if e & mask <= room}
 
 
-def _pdiv_one_minus(f: dict, u: dict, top: int, limit: int) -> dict:
+def _pdiv_one_minus(f: dict, u: dict, mask: int, limit: int) -> dict:
     """f / (1 - u) truncated at degree limit; u must have no constant term.
 
     The quotient r satisfies r = f + u*r, so slice by slice in degree
@@ -721,12 +736,12 @@ def _pdiv_one_minus(f: dict, u: dict, top: int, limit: int) -> dict:
     Every r_(d - deg t) is complete before r_d is built, and the work is
     |r| * |u| rather than |f| * |1 + u + u^2 + ...|.
     """
-    steps = [(t, c, t >> top) for t, c in u.items() if t >> top <= limit]
+    steps = [(t, c, t & mask) for t, c in u.items() if t & mask <= limit]
     if any(dt == 0 for _, _, dt in steps):
         raise ValueError("dividing by 1 - u needs u without a constant term")
     r: dict = {}  # degree -> slice of the quotient
     for e, c in f.items():
-        d = e >> top
+        d = e & mask
         if d <= limit:
             r.setdefault(d, {})[e] = c
     for d in range(min(r, default=limit + 1), limit + 1):

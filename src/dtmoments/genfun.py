@@ -26,7 +26,7 @@ from .fps import (
     _pshift,
 )
 from .moments import multinomial, n_value
-from .ratfun import RationalExpr, _ProductMemo, identity_form, odot_closed
+from .ratfun import RationalExpr, _odot_closed, _ProductMemo, identity_form
 
 __all__ = [
     "check_conjecture",
@@ -98,29 +98,31 @@ def _packed_f(n: int, D: int, memo: dict) -> dict:
         packing = _Packing(2 * n, D)
         rhs = {0: 1} if n == 1 else _packed_rhs(n, D, memo)
         form = identity_form(_registry(n))
-        memo[n] = _pdiv_one_minus(rhs, packing.pack(form.terms, D), packing.top, D)
+        memo[n] = _pdiv_one_minus(rhs, packing.pack(form.terms, D), packing.mask, D)
     return memo[n]
 
 
 def _packed_rhs(n: int, D: int, memo: dict) -> dict:
     packings = {m: _Packing(2 * m, D) for m in range(1, n + 1)}  # F_m's layout
-    top, modulus = packings[n].top, _registry(n).modulus
+    mask, modulus = packings[n].mask, _registry(n).modulus
     total: dict = {}
     for factors in _split_factors(n):
         part = None
         for where, prefix in factors:
             factor = _packed_factor(where, prefix, packings, D, memo)
-            part = factor if part is None else _podot(part, factor, top, D, modulus)
+            part = factor if part is None else _podot(part, factor, mask, D, modulus)
         _padd_into(total, part)
         del part  # free this part before the next one is built: it sets the peak memory
     return total
 
 
 def _packed_factor(where, prefix, packings, D: int, memo: dict) -> dict:
+    if sum(prefix) > D:  # nothing survives the shift; the prefix would not fit the layout
+        return {}
     packing = packings[len(prefix) // 2]  # the prefix spans the target registry
     m = len(where) // 2
     inner = _premap(_packed_f(m, D, memo), packings[m], packing, where)
-    return _pshift(inner, packing.mono(prefix), packing.top, D)
+    return _pshift(inner, packing.mono(prefix), packing.mask, D)
 
 
 def _rational_factor(registry, where, prefix) -> RationalExpr:
@@ -135,11 +137,9 @@ def f_rational(n: int) -> RationalExpr:
     of monomial-prefixed fractions over products of (1 - permutation form).
 
     Each term's numerator stays packed from the closed product to the
-    renderer (see ratfun.RationalTerm).  A call keeps two memos and drops
-    both when it returns: the placed factors, keyed by their hashable
-    (where, prefix) blueprint, since the split terms place the same lower
-    F_m many times; and the closed products' memo of pair-sum ids, keyed
-    by (u_id, v_id), with the packed pieces of P.  A pair sum found in the
+    renderer (see ratfun.RationalTerm).  A call keeps one memo for its
+    closed products and drops it when it returns: the pair-sum ids, keyed
+    by (u_id, v_id), and the packed pieces of P.  A pair sum found in the
     memo still enters each product's table by key where it did before, so
     the u1, u2, ... aliases are as without the memo.
 
@@ -157,17 +157,14 @@ def f_rational(n: int) -> RationalExpr:
     registry = _registry(n)
     if n == 1:
         return RationalExpr.geometric_term(registry, identity_form(registry))
-    placed: dict = {}
-    memo = _ProductMemo(registry)
+    memo = _ProductMemo()
 
     def split_terms():
         for factors in _split_factors(n):
             term = None
-            for blueprint in factors:
-                if blueprint not in placed:
-                    placed[blueprint] = _rational_factor(registry, *blueprint)
-                factor = placed[blueprint]
-                term = factor if term is None else odot_closed(term, factor, memo)
+            for where, prefix in factors:
+                factor = _rational_factor(registry, where, prefix)
+                term = factor if term is None else _odot_closed(term, factor, memo)
             yield term
 
     return RationalExpr._sum(split_terms()).with_denominator(identity_form(registry))

@@ -43,12 +43,9 @@ def validate_key(key) -> tuple:
     key = tuple(key)
     if len(key) < 2 or len(key) % 2:
         raise ValueError("a moment key needs an even number of entries, at least two")
-    # one pass settles the usual key; the loop below runs only to find what
-    # to report, and lets an int subclass other than bool through
-    if not all(type(e) is int and e >= -1 for e in key):
-        for e in key:
-            if not isinstance(e, int) or isinstance(e, bool) or e < -1:
-                raise ValueError(f"key entries must be integers >= -1, got {e!r}")
+    for e in key:
+        if not isinstance(e, int) or isinstance(e, bool) or e < -1:
+            raise ValueError(f"key entries must be integers >= -1, got {e!r}")
     return key
 
 

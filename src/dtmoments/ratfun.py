@@ -26,13 +26,13 @@ from .fps import (
     _padd_into,
     _pdiv_one_minus,
     _pmul_trunc,
+    _premap,
     _pshift,
     _rename_positions,
     _split,
     _tmul,
     _tremap,
     _tscale,
-    _width,
 )
 
 
@@ -268,7 +268,7 @@ def _row_product(m: int, n: int) -> dict:
     for i in range(1, m):
         for j in range(n):
             cell = {0: 1, _power(packing, i): -1, _power(packing, m + j): -1}
-            prod = _pmul_trunc(cell, prod, packing.top, limit)
+            prod = _pmul_trunc(cell, prod, packing.mask, limit)
     return prod
 
 
@@ -312,10 +312,10 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
     row = _row_product(m, n)
     limit = K + L + (m - 1) * n  # the window's degree: no term is dropped
     # window = u_0^K (1 - u_0)^L * row, one shifted copy of row per power of u_0
-    window = _pshift(row, _power(packing, 0, K), packing.top, limit)
+    window = _pshift(row, _power(packing, 0, K), packing.mask, limit)
     for t in range(1, L + 1):
         mono = _power(packing, 0, K + t)
-        _padd_into(window, _pshift(row, mono, packing.top, limit), (-1) ** t * math.comb(L, t))
+        _padd_into(window, _pshift(row, mono, packing.mask, limit), (-1) ** t * math.comb(L, t))
     for b in range(1, m):
         dividend = _swapped(window, packing, 0, b)
         _padd_into(dividend, window, -1)
@@ -417,69 +417,32 @@ def _check_prefix(registry: VariableRegistry, prefix: tuple) -> None:
 
 
 # -- packed numerators ------------------------------------------------------------------
-#
-# A rational term keeps its numerator packed over its own tuple of form-id
-# fields, ``width`` bits a field: bit field 0 holds the total degree and bit
-# field i + 1 the exponent of fields[i].  A monomial product is one integer
-# addition (the degree field adds along) and a degree read is one mask.
-# With the degree at the bottom, a packed piece of P occupies the same bits
-# whatever else an output term holds, so the closed product packs each
-# piece once.  No field can wrap: the width comes from a bound on the total
-# degree, which bounds every exponent too.
-
-
-def _pack_tuples(terms: dict, slots, width: int) -> list:
-    """(packed monomial, coefficient) pairs of tuple-keyed ``terms`` whose
-    position p goes to bit field slots[p]; positions sharing a field add, and
-    a position that no term uses may have the slot None."""
-    out: dict = {}
-    for e, c in terms.items():
-        key = sum(e)
-        for slot, x in zip(slots, e):
-            if x:
-                key += x << (width * slot)
-        out[key] = out.get(key, 0) + c
-    return [(e, c) for e, c in out.items() if c]
-
-
-def _relayout(packed: dict, width: int, fields, slot: dict, dst_width: int) -> dict:
-    """The monomials of ``packed`` in another layout: fields[i] moves to the
-    bit field slot[fields[i]], ``dst_width`` bits wide.  ``slot`` sends
-    distinct fields to distinct bit fields, and a field it lacks must be
-    unused."""
-    mask = (1 << width) - 1
-    moves = [(width * i, dst_width * slot[s]) for i, s in enumerate(fields, 1) if s in slot]
-    out = {}
-    for e, c in packed.items():
-        key = e & mask
-        for src, dst in moves:
-            key += ((e >> src) & mask) << dst
-        out[key] = c
-    return out
 
 
 class RationalTerm:
     """prefix * numerator / prod_{id in denominator} (1 - form_id).
 
-    The numerator is kept packed (see above): ``fields`` are its form ids in
-    bit-field order, ``packed`` maps packed monomials to nonzero
-    coefficients, and ``symbols`` holds the same ids in display order --
-    sorted for every term the package builds, as given for a term built
-    from a SymPoly.  The closed product, merging, renaming, expansion and
-    rendering read the packed form; the ``numerator`` property builds the
-    SymPoly on demand.  Terms compare by prefix, denominator and numerator,
-    whichever way their numerators are laid out.
+    The numerator is kept packed in the fps._Packing layout: ``fields`` are
+    its form ids in layout order, ``packing`` the layout over them, and
+    ``packed`` maps packed monomials to nonzero coefficients.  ``symbols``
+    holds the same ids in display order -- sorted for every term the
+    package builds, as given for a term built from a SymPoly.  The closed
+    product, merging, renaming, expansion and rendering read the packed
+    form; the ``numerator`` property builds the SymPoly on demand.  Terms
+    compare by prefix, denominator and numerator, whichever way their
+    numerators are laid out.
     """
 
-    __slots__ = ("prefix", "denominator", "symbols", "fields", "width", "packed")
+    __slots__ = ("prefix", "denominator", "symbols", "fields", "packing", "packed")
 
     def __init__(self, prefix, numerator: SymPoly, denominator):
         if not isinstance(numerator, SymPoly):
             raise TypeError("a term's numerator must be a SymPoly")
         symbols = numerator.symbols
-        width = _width(numerator.degree())
-        packed = dict(_pack_tuples(numerator.terms, range(1, len(symbols) + 1), width))
-        self._fill(prefix, denominator, symbols, symbols, width, packed)
+        degree = numerator.degree()
+        packing = _Packing(len(symbols), degree)
+        packed = packing.pack(numerator.terms, degree)
+        self._fill(prefix, denominator, symbols, symbols, packing, packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalTerm is immutable")
@@ -490,24 +453,22 @@ class RationalTerm:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _make(cls, prefix, denominator, symbols, fields, width, packed) -> "RationalTerm":
+    def _make(cls, prefix, denominator, symbols, fields, packing, packed) -> "RationalTerm":
         term = cls.__new__(cls)
-        term._fill(prefix, denominator, symbols, fields, width, packed)
+        term._fill(prefix, denominator, symbols, fields, packing, packed)
         return term
 
     def _with(self, prefix, denominator) -> "RationalTerm":
         """The same numerator over another prefix and denominator."""
-        return self._make(prefix, denominator, self.symbols, self.fields, self.width, self.packed)
+        return self._make(prefix, denominator, self.symbols, self.fields, self.packing, self.packed)
 
-    def _numerator_items(self) -> list:
-        """The numerator's (exponent tuple over symbols, coefficient) pairs."""
-        mask = (1 << self.width) - 1
-        shifts = [self.width * (self.fields.index(s) + 1) for s in self.symbols]
-        return [(tuple([(e >> w) & mask for w in shifts]), c) for e, c in self.packed.items()]
+    def _numerator_terms(self) -> dict:
+        """The numerator's terms, keyed by exponent tuples over symbols."""
+        return self.packing.unpack(self.packed, [self.fields.index(s) for s in self.symbols])
 
     @property
     def numerator(self) -> SymPoly:
-        return SymPoly(self.symbols, dict(self._numerator_items()), _checked=True)
+        return SymPoly(self.symbols, self._numerator_terms(), _checked=True)
 
     def __eq__(self, other):
         if not isinstance(other, RationalTerm):
@@ -516,7 +477,7 @@ class RationalTerm:
             other.prefix, other.denominator, other.symbols
         ):
             return False
-        if (self.fields, self.width) == (other.fields, other.width):
+        if (self.fields, self.packing.width) == (other.fields, other.packing.width):
             return self.packed == other.packed
         return self.numerator == other.numerator
 
@@ -531,20 +492,23 @@ class RationalTerm:
 
 def _added(a: RationalTerm, b: RationalTerm) -> RationalTerm:
     """a + b for two terms of one prefix and denominator: the numerators add
-    over the union of their fields, a's first.  The symbols are the sorted
-    union, kept even where the sum cancels one of them."""
+    over the union of their fields, a's first, in the wider of the two
+    layouts.  The symbols are the sorted union, kept even where the sum
+    cancels one of them."""
     fields = a.fields + tuple(s for s in b.fields if s not in a.fields)
-    width = max(a.width, b.width)
-    slot = {s: i for i, s in enumerate(fields, 1)}
-    packed = (
-        dict(a.packed) if width == a.width else _relayout(a.packed, a.width, a.fields, slot, width)
-    )
-    if width == b.width and b.fields == fields[: len(b.fields)]:
+    # a layout's mask is the largest degree it holds
+    packing = _Packing(len(fields), max(a.packing.mask, b.packing.mask))
+    if packing.width == a.packing.width:
+        packed = dict(a.packed)
+    else:
+        packed = _premap(a.packed, a.packing, packing, range(len(a.fields)))
+    if packing.width == b.packing.width and b.fields == fields[: len(b.fields)]:
         _padd_into(packed, b.packed)
     else:
-        _padd_into(packed, _relayout(b.packed, b.width, b.fields, slot, width))
+        slot = {s: i for i, s in enumerate(fields)}
+        _padd_into(packed, _premap(b.packed, b.packing, packing, [slot[s] for s in b.fields]))
     symbols = tuple(sorted(set(a.symbols) | set(b.symbols)))
-    return RationalTerm._make(a.prefix, a.denominator, symbols, fields, width, packed)
+    return RationalTerm._make(a.prefix, a.denominator, symbols, fields, packing, packed)
 
 
 class RationalExpr:
@@ -679,7 +643,7 @@ class RationalExpr:
                     tuple(sorted(rename[fid] for fid in t.denominator)),
                     tuple(sorted(rename[s] for s in t.symbols)),
                     tuple(rename[s] for s in t.fields),
-                    t.width,
+                    t.packing,
                     t.packed,
                 )
             )
@@ -691,8 +655,7 @@ class RationalExpr:
         """The expression as a series truncated at total degree ``trunc``.
 
         Runs on packed exponents (the fps kernel): each numerator is
-        evaluated at the packed forms, read field by field off its packed
-        terms, divided by each denominator 1 - u slice by slice in degree,
+        evaluated term by term at the packed forms, divided by each denominator 1 - u slice by slice in degree,
         and shifted by its prefix; the sum is unpacked once at the end.  A
         form that every term's denominator holds (f_rational puts the
         identity form in all of them) divides the summed parts once instead
@@ -701,14 +664,14 @@ class RationalExpr:
         multiplication by ``geometric(u, D)``.
         """
         packing = _Packing(self.registry.size, trunc)
-        top = packing.top
+        mask = packing.mask
         forms = {fid: packing.pack(f.terms, trunc) for fid, f in self.table.forms.items()}
         powers: dict = {}
 
         def power(fid: str, k: int) -> dict:
             if (fid, k) not in powers:
                 lower = {0: 1} if k == 1 else power(fid, k - 1)
-                powers[fid, k] = _pmul_trunc(lower, forms[fid], top, trunc)
+                powers[fid, k] = _pmul_trunc(lower, forms[fid], mask, trunc)
             return powers[fid, k]
 
         shared = Counter(self.terms[0].denominator) if self.terms else Counter()
@@ -719,30 +682,24 @@ class RationalExpr:
             budget = trunc - sum(t.prefix)
             if budget < 0:
                 continue
-            mask = (1 << t.width) - 1
-            shifts = [(s, t.width * (t.fields.index(s) + 1)) for s in t.symbols]
             # part may keep terms above the budget: the division by each
             # 1 - u and the prefix shift drop them
             part: dict = {}
-            for e, c in t.packed.items():
-                factors = []
-                for s, w in shifts:
-                    x = (e >> w) & mask
-                    if x:
-                        factors.append(power(s, x))
+            for exps, c in t.packing.unpack(t.packed).items():
+                factors = [power(s, x) for s, x in zip(t.fields, exps) if x]
                 mono = factors[0] if factors else {0: 1}
                 for f in factors[1:]:
-                    mono = _pmul_trunc(mono, f, top, budget)
+                    mono = _pmul_trunc(mono, f, mask, budget)
                 _padd_into(part, mono, c)
             for fid in (Counter(t.denominator) - shared).elements():
                 if not part:
                     break
-                part = _pdiv_one_minus(part, forms[fid], top, budget)
-            _padd_into(acc, _pshift(part, packing.mono(t.prefix), top, trunc))
+                part = _pdiv_one_minus(part, forms[fid], mask, budget)
+            _padd_into(acc, _pshift(part, packing.mono(t.prefix), mask, trunc))
         for fid in shared.elements():
             if not acc:
                 break
-            acc = _pdiv_one_minus(acc, forms[fid], top, trunc)
+            acc = _pdiv_one_minus(acc, forms[fid], mask, trunc)
         return Series(self.registry, trunc, packing.unpack(acc), _checked=True)
 
     # -- rendering --
@@ -760,7 +717,7 @@ class RationalExpr:
             yield "0"
         for i, t in enumerate(self.terms):
             mono = _display_mono(self.registry, t.prefix)
-            items = _in_order(t._numerator_items())
+            items = _in_order(t._numerator_terms().items())
             num = _poly_pretty(t.symbols, items, alias)
             if num == "1":
                 top = mono or "1"
@@ -789,7 +746,7 @@ class RationalExpr:
             ws.extend([i + 1] * t.prefix[2 * i + 1])
         return {
             "prefix": {"z": zs, "w": ws},
-            "numerator": {"symbols": list(t.symbols), "terms": _json_terms(t._numerator_items())},
+            "numerator": {"symbols": list(t.symbols), "terms": _json_terms(t._numerator_terms().items())},
             "denominator": list(t.denominator),
         }
 
@@ -802,36 +759,36 @@ class _ProductMemo:
     of each pair sum u + v, keyed by (u_id, v_id) -- ids fix forms within a
     registry -- the pieces of P packed for the products' numerators, and
     one int object per packed monomial value for their keys.  f_rational
-    keeps one for the length of a call; odot_closed makes one per call when
-    it is given none."""
+    keeps one for the length of a call; odot_closed makes one per call."""
 
-    __slots__ = ("registry", "sums", "pieces", "keys")
+    __slots__ = ("sums", "pieces", "packed", "keys")
 
-    def __init__(self, registry: VariableRegistry):
-        self.registry = registry
+    def __init__(self):
         self.sums: dict = {}
         self.pieces: dict = {}
+        self.packed: dict = {}
         self.keys: dict = {}  # packed monomial -> the one object of that value
 
-    def piece(self, m: int, n: int, k: int, l: int) -> list:
-        """[degree, used, packed]: the degree of P^{k,l}_{m,n}, the positions
-        of the u/v symbols it uses in u1..um, v1..vn order, and its terms
-        packed with used[j] in bit field j + 1, by field width."""
+    def piece(self, m: int, n: int, k: int, l: int) -> tuple:
+        """(degree, used): the degree of P^{k,l}_{m,n} and the positions of
+        the u/v symbols it uses, in u1..um, v1..vn order."""
         key = (m, n, k, l)
         if key not in self.pieces:
             poly = p_polynomial(m, n, k, l)
             used = tuple(p for p in range(m + n) if any(e[p] for e in poly.terms))
-            self.pieces[key] = [poly.degree(), used, {}]
+            self.pieces[key] = poly.degree(), used
         return self.pieces[key]
 
-    def packed_piece(self, m: int, n: int, k: int, l: int, width: int) -> list:
-        _, used, packed = self.piece(m, n, k, l)
-        if width not in packed:
-            slots = [None] * (m + n)
-            for j, p in enumerate(used, 1):
-                slots[p] = j
-            packed[width] = _pack_tuples(p_polynomial(m, n, k, l).terms, slots, width)
-        return packed[width]
+    def packed_piece(self, m: int, n: int, k: int, l: int, packing: _Packing, where) -> list:
+        """P^{k,l}_{m,n} as (packed monomial, coefficient) pairs in ``packing``,
+        its u/v position p at variable where[p]; positions that share a
+        variable add.  A packed monomial depends on the layout only through
+        its width and ``where``."""
+        key = (m, n, k, l, packing.width, where)
+        if key not in self.packed:
+            terms = _tremap(p_polynomial(m, n, k, l).terms, where, len(packing.shifts))
+            self.packed[key] = list(packing.pack(terms, packing.mask).items())
+        return self.packed[key]
 
 
 def _odot_pair(
@@ -846,11 +803,11 @@ def _odot_pair(
 
     The numerator is built packed and stays packed.  The output layout puts
     the u/v symbols that the needed pieces of P use first, in u/v order,
-    then the operands' other fields, sorted; a piece from the memo then sits
-    in place as it is, and each operand numerator is moved into the layout
-    once per pair.  Every numerator term pair adds its base monomial e1 + e2
-    to the piece's terms and scales them by c1 * c2.  A field that no output
-    term uses is dropped at the end.
+    then the operands' other fields, sorted, so that most pairs meet the
+    pieces the memo already packed; each operand numerator is moved into
+    the layout once per pair.  Every numerator term pair adds its base
+    monomial e1 + e2 to the piece's terms and scales them by c1 * c2.  A
+    field that no output term uses is dropped at the end.
     """
     m = len(t1.denominator)
     n = len(t2.denominator)
@@ -879,8 +836,8 @@ def _odot_pair(
 
     k_pref = sum(t1.prefix) // N
     l_pref = sum(t2.prefix) // N
-    degs1 = {e & ((1 << t1.width) - 1) for e in t1.packed}
-    degs2 = {e & ((1 << t2.width) - 1) for e in t2.packed}
+    degs1 = {e & t1.packing.mask for e in t1.packed}
+    degs2 = {e & t2.packing.mask for e in t2.packed}
     if degs1 and degs2 and (k_pref + max(degs1) > m - 1 or l_pref + max(degs2) > n - 1):
         raise ValueError("closed product needs (prefix + numerator) shorter than the denominator")
     needed = {
@@ -889,27 +846,22 @@ def _odot_pair(
         for d2 in degs2
     }
     # an output term has degree <= deg P + deg num1 + deg num2
-    width = _width(
-        max((d for d, _, _ in needed.values()), default=0)
+    bound = (
+        max((d for d, _ in needed.values()), default=0)
         + max(degs1, default=0)
         + max(degs2, default=0)
     )
-    used = sorted(set().union(*(u for _, u, _ in needed.values())))
+    used = sorted(set().union(*(u for _, u in needed.values())))
     uv = u_ids + v_ids
     fields = list(dict.fromkeys(uv[p] for p in used))
-    in_place = len(fields) == len(used)  # no u equals a v among them
     fields += sorted((set(t1.fields) | set(t2.fields)) - set(fields))
-    slot = {s: i for i, s in enumerate(fields, 1)}
-    pieces = {}
-    for (k, l), (_, piece_used, _) in needed.items():
-        if in_place and len(piece_used) in (0, len(used)):
-            pieces[k, l] = memo.packed_piece(m, n, k, l, width)
-        else:
-            slots = [slot.get(s) for s in uv]
-            pieces[k, l] = _pack_tuples(p_polynomial(m, n, k, l).terms, slots, width)
+    slot = {s: i for i, s in enumerate(fields)}
+    packing = _Packing(len(fields), bound)
+    where = tuple(slot.get(s) for s in uv)
+    pieces = {kl: memo.packed_piece(m, n, *kl, packing, where) for kl in needed}
 
-    mask = (1 << width) - 1
-    right = _relayout(t2.packed, t2.width, t2.fields, slot, width)
+    mask = packing.mask
+    right = _premap(t2.packed, t2.packing, packing, [slot[s] for s in t2.fields])
     # per k_eff, the right terms with the piece each one meets
     rows = {
         k: [(b2, c2, pieces[k, l_pref + (b2 & mask)]) for b2, c2 in right.items()]
@@ -917,7 +869,7 @@ def _odot_pair(
     }
     acc: dict = {}
     get = acc.get
-    for b1, c1 in _relayout(t1.packed, t1.width, t1.fields, slot, width).items():
+    for b1, c1 in _premap(t1.packed, t1.packing, packing, [slot[s] for s in t1.fields]).items():
         for b2, c2, piece in rows[k_pref + (b1 & mask)]:
             base = b1 + b2
             c = c1 * c2
@@ -930,37 +882,40 @@ def _odot_pair(
     share = memo.keys.setdefault
     acc = {share(e, e): c for e, c in acc.items() if c}
     seen = reduce(or_, acc, 0)
-    kept = [s for s in fields if (seen >> (width * slot[s])) & mask]
+    kept = [s for s in fields if (seen >> packing.shifts[slot[s]]) & mask]
     if len(kept) < len(fields):
-        acc = _relayout(acc, width, fields, {s: i for i, s in enumerate(kept, 1)}, width)
+        narrow = _Packing(len(kept), bound)
+        at = {s: i for i, s in enumerate(kept)}
+        acc = _premap(acc, packing, narrow, [at.get(s) for s in fields])
         acc = {share(e, e): c for e, c in acc.items()}
-        fields = kept
+        fields, packing = kept, narrow
 
     symbols = tuple(sorted(fields))
     for s in symbols:
         table.forms.setdefault(s, forms1[s] if s in forms1 else forms2[s])
     prefix = tuple(map(add, t1.prefix, t2.prefix))
-    return RationalTerm._make(prefix, tuple(sorted(flat)), symbols, tuple(fields), width, acc)
+    return RationalTerm._make(prefix, tuple(sorted(flat)), symbols, tuple(fields), packing, acc)
 
 
-def odot_closed(e1: RationalExpr, e2: RationalExpr, memo=None) -> RationalExpr:
+def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
     """Graded product of two rational expressions in closed form.
 
     Works term pair by term pair; every pair must satisfy the distinctness
     precondition (all sums u_i + v_j different), otherwise
     DistinctnessViolation propagates to the caller and the call's table is
     dropped.  Each sum u + v is built and its form id rendered once per
-    memo: ``memo`` holds the pair sums and the packed pieces of P that
-    earlier products over the same registry made (f_rational passes one per
-    call), and a fresh one serves this call alone when it is None.  Every
-    pair still runs all of its checks.
+    call.
     """
+    return _odot_closed(e1, e2, _ProductMemo())
+
+
+def _odot_closed(e1: RationalExpr, e2: RationalExpr, memo: _ProductMemo) -> RationalExpr:
+    """odot_closed over a ``memo`` that earlier products over the same
+    registry filled: f_rational shares one across its products, so a pair
+    sum or a packed piece of P that one product made serves the others.
+    Every pair still runs all of its checks."""
     if e1.registry != e2.registry:
         raise ValueError("operands live over different variable registries")
-    if memo is None:
-        memo = _ProductMemo(e1.registry)
-    elif memo.registry != e1.registry:
-        raise ValueError("the product memo serves another variable registry")
     table = FormTable(e1.registry)
     terms = [
         _odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2, memo)

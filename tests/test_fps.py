@@ -312,7 +312,7 @@ def packed_round_trip(registry, D, op, *operands):
     """op on the packed operands, unpacked into a Series truncated at D."""
     packing = _Packing(registry.size, D)
     packed = [packing.pack(f.terms, D) for f in operands]
-    return Series(registry, D, packing.unpack(op(*packed, packing.top, D)), _checked=True)
+    return Series(registry, D, packing.unpack(op(*packed, packing.mask, D)), _checked=True)
 
 
 @pytest.mark.parametrize(
@@ -331,15 +331,15 @@ def test_packed_division_by_one_minus_u_matches_geometric(registry, degrees):
 def test_packed_division_rejects_a_constant_term():
     packing = _Packing(2, 4)
     with pytest.raises(ValueError):
-        _pdiv_one_minus({0: 1}, {0: 1}, packing.top, 4)
+        _pdiv_one_minus({0: 1}, {0: 1}, packing.mask, 4)
 
 
 @pytest.mark.parametrize("registry", [ZW1, ZW2, ZW3, XY])
 def test_packed_products_match_series_products(registry):
     rng = random.Random(f"products-{registry.size}")
 
-    def odot(a, b, top, D):
-        return _podot(a, b, top, D, registry.modulus)
+    def odot(a, b, mask, D):
+        return _podot(a, b, mask, D, registry.modulus)
 
     for D in (0, 2, 6, 15, 16):
         for _ in range(4):

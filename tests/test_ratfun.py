@@ -14,6 +14,7 @@ from dtmoments.ratfun import (
     RationalTerm,
     SymPoly,
     _div_linear,
+    _odot_closed,
     _p_packing,
     _row_product,
     _swapped,
@@ -82,8 +83,8 @@ def test_sympoly_with_symbols_can_merge():
 
 def test_exact_division_helper_detects_remainders():
     # (u1 - u2) divides u1^2 - u2^2 but not u1^2 + u2^2; monomials are
-    # packed ints, u1 in the low 2-bit field, u2 in the next one and the
-    # total degree on top
+    # packed ints, the total degree in the low 2-bit field, u1 in the next
+    # one and u2 above it
     packing = _Packing(2, 2)
     u1, u2 = packing.mono((1, 0)), packing.mono((0, 1))
     ok = _div_linear({packing.mono((2, 0)): 1, packing.mono((0, 2)): -1}, packing, 0, 1)
@@ -106,13 +107,15 @@ def test_exact_division_by_a_variable_difference_leaves_a_remainder():
 
 
 def test_packed_exponent_overflow_raises_instead_of_wrapping():
-    # a 2-bit field holds 0..3; 4 would carry into the next variable's field
+    # a 2-bit field holds 0..3; 4 would carry into the next field
     packing = _Packing(2, 3)
     assert packing.width == 2
-    assert packing.mono((3, 0)) == 3 + (3 << packing.top)
-    assert packing.mono((0, 1)) == 4 + (1 << packing.top)
+    assert packing.mono((3, 0)) == 3 + (3 << 2)
+    assert packing.mono((0, 1)) == 1 + (1 << 4)
     with pytest.raises(OverflowError):
         packing.mono((4, 0))
+    with pytest.raises(OverflowError):
+        packing.mono((2, 2))  # each exponent fits, the degree does not
     with pytest.raises(OverflowError):
         packing.mono((0, -1))
     # the width rule: the fewest bits that hold every exponent up to the bound
@@ -122,7 +125,7 @@ def test_packed_exponent_overflow_raises_instead_of_wrapping():
 def assert_degree_fields_exact(terms, packing):
     for e in terms:
         exps = [(e >> s) & packing.mask for s in packing.shifts]
-        assert e >> packing.top == sum(exps), (e, exps)
+        assert e & packing.mask == sum(exps), (e, exps)
 
 
 def test_p_kernel_keeps_the_degree_field_exact():
@@ -139,7 +142,7 @@ def test_p_kernel_keeps_the_degree_field_exact():
         a, b = rng.sample(range(size), 2)
         linear = {packing.mono([int(i == a) for i in range(size)]): 1,
                   packing.mono([int(i == b) for i in range(size)]): -1}
-        product = _pmul_trunc(f, linear, packing.top, 6)
+        product = _pmul_trunc(f, linear, packing.mask, 6)
         quotient = _div_linear(product, packing, a, b)
         assert quotient == f
         swapped = _swapped(f, packing, a, b)
@@ -433,12 +436,12 @@ def test_odot_closed_equals_the_product_route_in_f_rational(monkeypatch, n):
     def checked(a, b, memo):
         # f_rational shares one product memo across its products; the
         # product route shares nothing
-        got = odot_closed(a, b, memo)
+        got = _odot_closed(a, b, memo)
         assert got == odot_closed_by_products(a, b)
         products.append(len(got.terms))
         return got
 
-    monkeypatch.setattr(genfun, "odot_closed", checked)
+    monkeypatch.setattr(genfun, "_odot_closed", checked)
     assert genfun.f_rational.__wrapped__(n) == genfun.f_rational(n)
     assert products
 
