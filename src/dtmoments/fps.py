@@ -627,7 +627,7 @@ class _Packing:
 
     def __init__(self, size: int, bound: int):
         self.width = _width(bound)
-        self.shifts = tuple(self.width * i for i in range(1, size + 1))
+        self.shifts = tuple(range(self.width, self.width * (size + 1), self.width))
         self.mask = (1 << self.width) - 1
 
     def mono(self, exps) -> int:

@@ -655,7 +655,8 @@ class RationalExpr:
         """The expression as a series truncated at total degree ``trunc``.
 
         Runs on packed exponents (the fps kernel): each numerator is
-        evaluated term by term at the packed forms, divided by each denominator 1 - u slice by slice in degree,
+        evaluated at the packed forms, read field by field off its packed
+        terms, divided by each denominator 1 - u slice by slice in degree,
         and shifted by its prefix; the sum is unpacked once at the end.  A
         form that every term's denominator holds (f_rational puts the
         identity form in all of them) divides the summed parts once instead
@@ -684,9 +685,11 @@ class RationalExpr:
                 continue
             # part may keep terms above the budget: the division by each
             # 1 - u and the prefix shift drop them
+            fmask = t.packing.mask
+            fields = list(zip(t.fields, t.packing.shifts))
             part: dict = {}
-            for exps, c in t.packing.unpack(t.packed).items():
-                factors = [power(s, x) for s, x in zip(t.fields, exps) if x]
+            for e, c in t.packed.items():
+                factors = [power(s, x) for s, w in fields if (x := (e >> w) & fmask)]
                 mono = factors[0] if factors else {0: 1}
                 for f in factors[1:]:
                     mono = _pmul_trunc(mono, f, mask, budget)
@@ -857,7 +860,7 @@ def _odot_pair(
     fields += sorted((set(t1.fields) | set(t2.fields)) - set(fields))
     slot = {s: i for i, s in enumerate(fields)}
     packing = _Packing(len(fields), bound)
-    where = tuple(slot.get(s) for s in uv)
+    where = tuple(map(slot.get, uv))
     pieces = {kl: memo.packed_piece(m, n, *kl, packing, where) for kl in needed}
 
     mask = packing.mask
