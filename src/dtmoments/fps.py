@@ -722,8 +722,7 @@ def _premap(terms: dict, src: _Packing, dst: _Packing, where) -> dict:
 
 
 def _pshift(terms: dict, mono: int, mask: int, limit: int) -> dict:
-    """Multiply by one packed monomial, dropping terms pushed past limit;
-    the monomial's own degree must be <= limit."""
+    """Multiply by one packed monomial, dropping terms pushed past limit."""
     room = limit - (mono & mask)
     return {e + mono: c for e, c in terms.items() if e & mask <= room}
 
