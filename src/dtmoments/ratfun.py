@@ -460,7 +460,9 @@ class RationalTerm:
 
     def _with(self, prefix, denominator) -> "RationalTerm":
         """The same numerator over another prefix and denominator."""
-        return self._make(prefix, denominator, self.symbols, self.fields, self.packing, self.packed)
+        return self._make(
+            prefix, denominator, self.symbols, self.fields, self.packing, self.packed
+        )
 
     def _numerator_terms(self) -> dict:
         """The numerator's terms, keyed by exponent tuples over symbols."""
@@ -749,7 +751,10 @@ class RationalExpr:
             ws.extend([i + 1] * t.prefix[2 * i + 1])
         return {
             "prefix": {"z": zs, "w": ws},
-            "numerator": {"symbols": list(t.symbols), "terms": _json_terms(t._numerator_terms().items())},
+            "numerator": {
+                "symbols": list(t.symbols),
+                "terms": _json_terms(t._numerator_terms().items()),
+            },
             "denominator": list(t.denominator),
         }
 

@@ -89,8 +89,8 @@ def test_geometric_inverts_one_minus_the_form():
 @pytest.mark.parametrize(
     "n, D",
     [(1, D) for D in (0, 1, 2, 15, 16, 31, 32)]
-    + [(2, D) for D in (2, 15, 16, 31, 32)]
-    + [(3, 6), (3, 7), (3, 10), (3, 14), (4, 6), (4, 8), (4, 10), (5, 6), (5, 8)],
+    + [(2, D) for D in (0, 1, 2, 15, 16, 31, 32)]
+    + [(3, 0), (3, 1), (3, 6), (3, 7), (3, 10), (3, 14), (4, 6), (4, 8), (4, 10), (5, 6), (5, 8)],
 )
 def test_f_series_equals_the_geometric_route(n, D):
     assert f_series(n, D) == f_series_by_geometric(n, D)
