@@ -357,17 +357,6 @@ class Series:
 
     # -- graded structure ------------------------------------------------------
 
-    def homogeneous_part(self, k: int) -> "Series":
-        """The slice of total degree N*k (zero series when N*k > trunc)."""
-        if k < 0:
-            raise ValueError("part index must be >= 0")
-        d = k * self.registry.modulus
-        out = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return Series(self.registry, self.trunc, out, _checked=True)
-
-    def max_part_index(self) -> int:
-        return self.trunc // self.registry.modulus
-
     def odot(self, other: "Series") -> "Series":
         """Graded product: sum over k,l of C(k+l,k) f_(k) g_(l).
 

