@@ -47,7 +47,7 @@ class DistinctnessViolation(ValueError):
 # -- the P kernel on packed dicts ---------------------------------------------------
 #
 # Building P runs in the fps._Packing layout; the exact linear division
-# lives here, next to ExactDivisionError.  Both helpers keep the degree
+# lives here, next to ExactDivisionError.  Every helper keeps the degree
 # field exact.
 
 
@@ -56,35 +56,21 @@ def _power(packing: _Packing, i: int, x: int = 1) -> int:
     return packing.mono([x if j == i else 0 for j in range(len(packing.shifts))])
 
 
-def _swapped(terms: dict, packing: _Packing, a: int, b: int) -> dict:
-    """The same polynomial with the exponents of x_a and x_b exchanged; the
-    total degree, and so the degree field, is unchanged."""
-    mask = packing.mask
-    sa = packing.shifts[a]
-    sb = packing.shifts[b]
-    delta = (1 << sa) - (1 << sb)
-    return {e + (((e >> sb) & mask) - ((e >> sa) & mask)) * delta: c for e, c in terms.items()}
+def _div_walk(buckets: list, packing: _Packing, main: int, other: int) -> dict:
+    """The synthetic division by x_main - x_other of a dividend already
+    split into ``buckets`` by its degree in x_main.
 
-
-def _div_linear(terms: dict, packing: _Packing, main: int, other: int) -> dict:
-    """Exact division by x_main - x_other.
-
-    Synthetic division on buckets: the dividend is split once by its degree
-    in x_main, then the buckets are walked from the top degree down.  Bucket
-    d, once the higher buckets have pushed into it, divided by x_main is the
-    quotient's part of degree d-1 in x_main; that part times x_other is
-    added to bucket d-1.  What is left in bucket 0 is the remainder, and a
-    nonzero remainder raises ExactDivisionError.
+    The buckets are walked from the top degree down.  Bucket d, once the
+    higher buckets have pushed into it, divided by x_main is the quotient's
+    part of degree d-1 in x_main; that part times x_other is added to
+    bucket d-1.  What is left in bucket 0 is the remainder, and a nonzero
+    remainder raises ExactDivisionError.  Zero coefficients in a bucket are
+    skipped.
     """
-    shift = packing.shifts[main]
-    mask = packing.mask
     unit = _power(packing, main)
     other_unit = _power(packing, other)
-    buckets: list = [{} for _ in range(mask + 1)]
-    for e, c in terms.items():
-        buckets[(e >> shift) & mask][e] = c
     quot: dict = {}
-    for d in range(mask, 0, -1):
+    for d in range(len(buckets) - 1, 0, -1):
         lower = buckets[d - 1]
         get = lower.get
         for e, c in buckets[d].items():
@@ -96,6 +82,44 @@ def _div_linear(terms: dict, packing: _Packing, main: int, other: int) -> dict:
     if any(buckets[0].values()):
         raise ExactDivisionError("division expected to be exact left a remainder")
     return quot
+
+
+def _div_linear(terms: dict, packing: _Packing, main: int, other: int) -> dict:
+    """Exact division by x_main - x_other: the dividend is split once by its
+    degree in x_main and handed to _div_walk."""
+    shift = packing.shifts[main]
+    mask = packing.mask
+    buckets: list = [{} for _ in range(mask + 1)]
+    for e, c in terms.items():
+        buckets[(e >> shift) & mask][e] = c
+    return _div_walk(buckets, packing, main, other)
+
+
+def _newton_step(window: dict, packing: _Packing, b: int) -> dict:
+    """(swap(window) - window) / (x_b - x_0), where swap exchanges the
+    exponents of x_0 and x_b, in one pass over the window.
+
+    Each term c*e puts -c at e and +c at swap(e) straight into the buckets
+    of _div_walk, by their degree in x_b (e's x_b exponent and e's x_0
+    exponent); a term whose two exponents are equal is its own swap and
+    cancels, so it is skipped.  The swap keeps the total degree, and so the
+    degree field, unchanged.
+    """
+    mask = packing.mask
+    s0 = packing.shifts[0]
+    sb = packing.shifts[b]
+    delta = (1 << s0) - (1 << sb)
+    buckets: list = [{} for _ in range(mask + 1)]
+    for e, c in window.items():
+        x0 = (e >> s0) & mask
+        xb = (e >> sb) & mask
+        if x0 != xb:
+            here = buckets[xb]
+            here[e] = here.get(e, 0) - c
+            swapped = e + (xb - x0) * delta
+            there = buckets[x0]
+            there[swapped] = there.get(swapped, 0) + c
+    return _div_walk(buckets, packing, b, 0)
 
 
 # -- symbolic polynomials ------------------------------------------------------------
@@ -255,7 +279,6 @@ def _row_product(m: int, n: int) -> dict:
     return prod
 
 
-@lru_cache(maxsize=None)
 def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
     """The closed-form product numerator: the signed double sum
 
@@ -286,9 +309,31 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
     by u_b - u_0: m-1 exact linear divisions in all.  Compared with dividing
     Q directly this keeps intermediates near the size of P itself instead
     of the size of Q.
+
+    P is linear in the window u_0^K (1-u_0)^L prod_{i'!=0, j}(1 - u_i' - v_j),
+    and u^K (1-u)^L = u^K (1-u)^(L-1) - u^(K+1) (1-u)^(L-1), so for k >= 1
+    and l <= n-2
+
+        P(k, l) = P(k, l+1) - P(k-1, l+1).
+
+    Only the boundary cells, the row l = n-1 and the column k = 0, run the
+    Newton steps; every other cell of the (m, n) grid is one subtraction of
+    two neighbours.  Each cell is built once and cached, so repeated calls
+    return the same object.
     """
     if not (0 <= k <= m - 1 and 0 <= l <= n - 1):
         raise ValueError("need 0 <= k <= m-1 and 0 <= l <= n-1")
+    return _p_cell(m, n, k, l)
+
+
+@lru_cache(maxsize=None)
+def _p_cell(m: int, n: int, k: int, l: int) -> SymPoly:
+    """p_polynomial without the argument check: a boundary cell by divided
+    differences, an inner one by the cell recurrence."""
+    if k and l < n - 1:
+        terms = dict(_p_cell(m, n, k, l + 1).terms)
+        _padd_into(terms, _p_cell(m, n, k - 1, l + 1).terms, -1)
+        return SymPoly(uv_symbols(m, n), terms, _checked=True)
     K = m - k - 1
     L = n - l - 1
     packing = _p_packing(m, n)
@@ -300,9 +345,7 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
         mono = _power(packing, 0, K + t)
         _padd_into(window, _pshift(row, mono, packing.mask, limit), (-1) ** t * math.comb(L, t))
     for b in range(1, m):
-        dividend = _swapped(window, packing, 0, b)
-        _padd_into(dividend, window, -1)
-        window = _div_linear(dividend, packing, b, 0)
+        window = _newton_step(window, packing, b)
     return SymPoly(uv_symbols(m, n), packing.unpack(window), _checked=True)
 
 

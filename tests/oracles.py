@@ -9,16 +9,28 @@ multinomial formula, the closed product of two rational expressions term
 pair by term pair on SymPoly products, and the two series pipelines (F_n
 and the expansion of a rational expression) on tuple-keyed Series,
 multiplying by geometric(u, D) where the package divides packed terms by
-1 - u.  It also holds the helpers that only the tests need: the
-homogeneous slices of a Series and a SymPoly re-expressed over other
-symbols.
+1 - u.  One route is narrower: p_by_window builds each P cell by its own
+full divided difference, sharing the row product and _div_linear with the
+package, so it checks the cell recurrence and the fused Newton step only.
+It also holds the helpers that only the tests need: the homogeneous slices
+of a Series, a SymPoly re-expressed over other symbols, and the packed
+exponent swap.
 """
 
 import math
 from functools import lru_cache
 from itertools import combinations, product
 
-from dtmoments.fps import Exponents, Series, VariableRegistry, geometric, odot_many
+from dtmoments.fps import (
+    Exponents,
+    Series,
+    VariableRegistry,
+    _Packing,
+    _padd_into,
+    _pshift,
+    geometric,
+    odot_many,
+)
 from dtmoments.genfun import _split_factors
 from dtmoments.moments import nom
 from dtmoments.ratfun import (
@@ -27,6 +39,10 @@ from dtmoments.ratfun import (
     RationalExpr,
     RationalTerm,
     SymPoly,
+    _div_linear,
+    _p_packing,
+    _power,
+    _row_product,
     identity_form,
     p_polynomial,
     uv_symbols,
@@ -116,6 +132,41 @@ def q_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
         e[m + j] = n - l - 1
         acc = acc + cell * SymPoly(syms, {tuple(e): 1})
     return acc
+
+
+# -- P by its direct divided difference ------------------------------------------------
+
+
+def _swapped(terms: dict, packing: _Packing, a: int, b: int) -> dict:
+    """The same packed polynomial with the exponents of x_a and x_b
+    exchanged; the total degree, and so the degree field, is unchanged."""
+    mask = packing.mask
+    sa = packing.shifts[a]
+    sb = packing.shifts[b]
+    delta = (1 << sa) - (1 << sb)
+    return {e + (((e >> sb) & mask) - ((e >> sa) & mask)) * delta: c for e, c in terms.items()}
+
+
+def p_by_window(m: int, n: int, k: int, l: int) -> SymPoly:
+    """P^{k,l}_{m,n} from its own window u_0^K (1-u_0)^L * row, K = m-k-1,
+    L = n-l-1, in L + 1 shifted copies of the row product, followed by m-1
+    Newton steps, each a swap of u_0 and u_b, a subtraction and an exact
+    division by u_b - u_0: every cell from scratch, with no neighbour and no
+    cache."""
+    K = m - k - 1
+    L = n - l - 1
+    packing = _p_packing(m, n)
+    row = _row_product(m, n)
+    limit = K + L + (m - 1) * n
+    window = _pshift(row, _power(packing, 0, K), packing.mask, limit)
+    for t in range(1, L + 1):
+        mono = _power(packing, 0, K + t)
+        _padd_into(window, _pshift(row, mono, packing.mask, limit), (-1) ** t * math.comb(L, t))
+    for b in range(1, m):
+        dividend = _swapped(window, packing, 0, b)
+        _padd_into(dividend, window, -1)
+        window = _div_linear(dividend, packing, b, 0)
+    return SymPoly(uv_symbols(m, n), packing.unpack(window), _checked=True)
 
 
 # -- the moment recursion on raw keys -------------------------------------------------

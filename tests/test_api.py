@@ -68,6 +68,8 @@ TEST_ONLY = (
     "homogeneous_part",
     "f_series_by_geometric",
     "expand_by_geometric",
+    "p_by_window",
+    "_swapped",
 )
 
 

@@ -1,11 +1,20 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from dtmoments.fps import Series, VariableRegistry, _Packing, _pmul_trunc, _width, geometric
+from dtmoments.fps import (
+    Series,
+    VariableRegistry,
+    _Packing,
+    _padd_into,
+    _pmul_trunc,
+    _width,
+    geometric,
+)
 from dtmoments.ratfun import (
     DistinctnessViolation,
     ExactDivisionError,
@@ -14,10 +23,11 @@ from dtmoments.ratfun import (
     RationalTerm,
     SymPoly,
     _div_linear,
+    _newton_step,
     _odot_closed,
+    _p_cell,
     _p_packing,
     _row_product,
-    _swapped,
     form_id,
     identity_form,
     odot_closed,
@@ -27,7 +37,14 @@ from dtmoments.ratfun import (
 )
 from dtmoments import genfun, ratfun
 from conftest import ZW2, ZW3
-from oracles import expand_by_geometric, odot_closed_by_products, q_polynomial, with_symbols
+from oracles import (
+    _swapped,
+    expand_by_geometric,
+    odot_closed_by_products,
+    p_by_window,
+    q_polynomial,
+    with_symbols,
+)
 
 
 def sp(m, n, data):
@@ -154,6 +171,36 @@ def test_p_kernel_keeps_the_degree_field_exact():
             assert_degree_fields_exact(_row_product(m, n), _p_packing(m, n))
 
 
+def test_newton_step_equals_swap_subtract_divide():
+    rng = random.Random("newton-step")
+    kinds = Counter()
+    for _ in range(60):
+        size = rng.randrange(2, 6)
+        b = rng.randrange(1, size)
+        packing = _Packing(size, 2 * size)
+        terms = {}
+        for _ in range(rng.randrange(1, 10)):
+            exps = [rng.randrange(3) for _ in range(size)]
+            kind = rng.choice(("plain", "symmetric", "with its swap"))
+            kinds[kind] += 1
+            if kind == "symmetric":  # its own swap: the two parts cancel
+                exps[b] = exps[0]
+            terms[tuple(exps)] = rng.choice((1, -1, 2, -3, 5, Fraction(1, 2)))
+            if kind == "with its swap":
+                exps[0], exps[b] = exps[b], exps[0]
+                terms[tuple(exps)] = rng.choice((1, -1, 4))
+        window = packing.pack(terms, 2 * size)
+        dividend = _swapped(window, packing, 0, b)
+        _padd_into(dividend, window, -1)
+        got = _newton_step(window, packing, b)
+        assert got == _div_linear(dividend, packing, b, 0)
+        assert_degree_fields_exact(got, packing)
+    assert min(kinds.values()) > 20
+    # a window of symmetric terms only is its own swap: the step gives 0
+    packing = _Packing(3, 4)
+    assert _newton_step({packing.mono((1, 2, 1)): 3, 0: 1}, packing, 2) == {}
+
+
 # -- the universal numerator polynomials -------------------------------------------
 
 
@@ -259,26 +306,27 @@ def test_p_single_denominator_families():
 
 
 def test_q_and_p_degree_bounds_small_range():
-    # exhaustive at m,n <= 3 here; the acceptance suite pushes to 4.  Q is
-    # the oracle's direct sum, built without the packed kernel behind P
-    for m in range(1, 4):
-        for n in range(1, 4):
-            vd_deg = math.comb(m, 2) + math.comb(n, 2)
-            syms = uv_symbols(m, n)
-            vandermonde = SymPoly.one(syms)
-            for block in (syms[:m], syms[m:]):
-                for a, b in combinations(block, 2):
-                    vandermonde = vandermonde * (
-                        SymPoly.symbol(syms, a) - SymPoly.symbol(syms, b)
-                    )
-            for k in range(m):
-                for l in range(n):
-                    q = q_polynomial(m, n, k, l)
-                    p = p_polynomial(m, n, k, l)
-                    assert q.degree() <= (m * n - k - l - 1) + vd_deg
-                    assert p.degree() <= m * n - k - l - 1
-                    # the defining fact: P * prod(u_p - u_q) * prod(v_r - v_s) = Q
-                    assert p * vandermonde == q, (m, n, k, l)
+    # exhaustive at m,n <= 3 here, plus (2,4) and (4,2), whose inner cells
+    # come from the cell recurrence at n = 4 and m = 4; the acceptance suite
+    # pushes to 4.  Q is the oracle's direct sum, built without the packed
+    # kernel behind P
+    for m, n in [*product(range(1, 4), repeat=2), (2, 4), (4, 2)]:
+        vd_deg = math.comb(m, 2) + math.comb(n, 2)
+        syms = uv_symbols(m, n)
+        vandermonde = SymPoly.one(syms)
+        for block in (syms[:m], syms[m:]):
+            for a, b in combinations(block, 2):
+                vandermonde = vandermonde * (
+                    SymPoly.symbol(syms, a) - SymPoly.symbol(syms, b)
+                )
+        for k in range(m):
+            for l in range(n):
+                q = q_polynomial(m, n, k, l)
+                p = p_polynomial(m, n, k, l)
+                assert q.degree() <= (m * n - k - l - 1) + vd_deg
+                assert p.degree() <= m * n - k - l - 1
+                # the defining fact: P * prod(u_p - u_q) * prod(v_r - v_s) = Q
+                assert p * vandermonde == q, (m, n, k, l)
 
 
 def test_p_swap_symmetry_small_range():
@@ -293,6 +341,31 @@ def test_p_swap_symmetry_small_range():
                     rename.update({f"v{j}": f"u{j}" for j in range(1, m + 1)})
                     assert p == with_symbols(q, uv_symbols(m, n), rename)
 
+
+
+def test_p_cells_equal_the_direct_route():
+    # every cell of the benchmark's grids and two 4x4 cells, asked for from
+    # a cold cache with the inner cells first, so that the recurrence builds
+    # their neighbours on the way; p_by_window runs each cell's own full
+    # divided difference
+    _p_cell.cache_clear()
+    cells = [
+        (m, n, k, l)
+        for m, n in ((3, 4), (4, 3))
+        for l in range(n)
+        for k in reversed(range(m))
+    ]
+    cells += [(4, 4, 3, 3), (4, 4, 0, 3)]
+    for cell in cells:
+        assert p_polynomial(*cell) == p_by_window(*cell), cell
+
+
+def test_p_polynomial_returns_one_object_per_cell():
+    assert p_polynomial(3, 3, 1, 0) is p_polynomial(3, 3, 1, 0)
+    assert p_polynomial(3, 3, 1, 0) is _p_cell(3, 3, 1, 0)
+    for bad in ((2, 2, 2, 0), (2, 2, 0, 2), (2, 2, -1, 0), (2, 2, 0, -1), (0, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            p_polynomial(*bad)
 
 # -- concrete forms ------------------------------------------------------------------
 
