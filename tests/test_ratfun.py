@@ -342,7 +342,6 @@ def test_p_swap_symmetry_small_range():
                     assert p == with_symbols(q, uv_symbols(m, n), rename)
 
 
-
 def test_p_cells_equal_the_direct_route():
     # every cell of the benchmark's grids and two 4x4 cells, asked for from
     # a cold cache with the inner cells first, so that the recurrence builds
