@@ -15,12 +15,18 @@ oracle routes are built on those types.  The packed kernel works on
 product).  The two share no code beyond _padd_into, which never looks
 inside its keys, so an oracle built on the first checks the second
 independently.
+
+The value types -- VariableRegistry, Series and QSeries here, SymPoly,
+RationalTerm and RationalExpr in ratfun -- derive from one frozen base,
+_Value.  Outside input goes through a type's constructor, which checks it;
+the package builds a value from parts it has already checked with _make,
+which checks nothing.  Either way every slot is set once and a later set or
+del raises AttributeError, so a cached value (f_series and f_rational hand
+every caller the same object) cannot be changed under its other holders.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add, itemgetter
 
 Exponents = tuple[int, ...]
@@ -186,36 +192,61 @@ def _json_terms(items) -> list:
     return out
 
 
-def _immutable(last: str):
-    """A __setattr__ that refuses every assignment once the slot ``last``,
-    the one __init__ fills last, is set."""
+class _Value:
+    """The frozen base of the value types (see the module docstring).  A
+    checking constructor ends with one _fill; copies and pickles rebuild
+    through _make."""
 
-    def __setattr__(self, name, value):
-        if hasattr(self, last):
-            raise AttributeError(f"{type(self).__name__} is immutable")
-        object.__setattr__(self, name, value)
+    __slots__ = ()
 
-    return __setattr__
+    @classmethod
+    def _make(cls, *values):
+        """An instance from trusted parts, given in __slots__ order."""
+        self = cls.__new__(cls)
+        self._fill(*values)
+        return self
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self)._make, tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
-class VariableRegistry:
+class VariableRegistry(_Value):
     """Ordered variable names together with the homogeneity modulus N.
 
     A series over a registry with modulus N may only carry terms whose total
     degree is a multiple of N.
     """
 
-    names: tuple[str, ...]
-    modulus: int = 2
+    __slots__ = ("names", "modulus", "_positions")
 
-    def __post_init__(self):
-        if not self.names or len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...], modulus: int = 2):
+        if not names or len(set(names)) != len(names):
             raise ValueError("variable names must be nonempty and distinct")
-        if not all(isinstance(s, str) and s for s in self.names):
+        if not all(isinstance(s, str) and s for s in names):
             raise ValueError("variable names must be nonempty strings")
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("modulus must be a positive integer")
+        self._fill(names, modulus, {name: i for i, name in enumerate(names)})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.modulus) == (other.names, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(names={self.names!r}, modulus={self.modulus!r})"
 
     @classmethod
     def zw_pairs(cls, n: int) -> "VariableRegistry":
@@ -227,10 +258,6 @@ class VariableRegistry:
             names.append(f"z{i}")
             names.append(f"w{i}")
         return cls(tuple(names), 2)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
 
     @property
     def size(self) -> int:
@@ -249,7 +276,7 @@ class VariableRegistry:
             raise KeyError(f"unknown variable {name!r}") from None
 
 
-class Series:
+class Series(_Value):
     """Truncated multivariate series with exact rational coefficients.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  Invariants:
@@ -261,18 +288,12 @@ class Series:
 
     __slots__ = ("registry", "trunc", "terms")
 
-    def __init__(self, registry: VariableRegistry, trunc: int, terms=(), _checked=False):
+    def __init__(self, registry: VariableRegistry, trunc: int, terms=()):
         if trunc < 0:
             raise ValueError("truncation bound must be >= 0")
-        self.registry = registry
-        self.trunc = trunc
-        self.terms = (
-            terms if _checked else _clean_terms(terms, registry.size, registry.modulus, trunc)
-        )
+        self._fill(registry, trunc, _clean_terms(terms, registry.size, registry.modulus, trunc))
 
     # -- basics ------------------------------------------------------------
-
-    __setattr__ = _immutable("terms")
 
     def _require_same(self, other: "Series") -> None:
         if self.registry != other.registry:
@@ -310,7 +331,7 @@ class Series:
 
     @classmethod
     def zero(cls, registry: VariableRegistry, trunc: int) -> "Series":
-        return cls(registry, trunc, {}, _checked=True)
+        return cls(registry, trunc, {})
 
     @classmethod
     def one(cls, registry: VariableRegistry, trunc: int) -> "Series":
@@ -329,7 +350,7 @@ class Series:
         D = min(self.trunc, other.trunc)
         out = {e: c for e, c in self.terms.items() if sum(e) <= D}
         _padd_into(out, other.with_trunc(D).terms)
-        return Series(self.registry, D, out, _checked=True)
+        return Series._make(self.registry, D, out)
 
     def __neg__(self) -> "Series":
         return self.scale(-1)
@@ -340,9 +361,7 @@ class Series:
         return self + (-other)
 
     def scale(self, c) -> "Series":
-        return Series(
-            self.registry, self.trunc, _tscale(self.terms, c, self.registry.size), _checked=True
-        )
+        return Series._make(self.registry, self.trunc, _tscale(self.terms, c, self.registry.size))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -351,7 +370,7 @@ class Series:
             return NotImplemented
         self._require_same(other)
         D = min(self.trunc, other.trunc)
-        return Series(self.registry, D, _tmul(self.terms, other.terms, D), _checked=True)
+        return Series._make(self.registry, D, _tmul(self.terms, other.terms, D))
 
     __rmul__ = __mul__
 
@@ -372,15 +391,17 @@ class Series:
         def weight(d1, d2):
             return math.comb((d1 + d2) // N, d1 // N)
 
-        return Series(self.registry, D, _tmul(self.terms, other.terms, D, weight), _checked=True)
+        return Series._make(self.registry, D, _tmul(self.terms, other.terms, D, weight))
 
     # -- structural helpers ------------------------------------------------------
 
     def with_trunc(self, trunc: int) -> "Series":
         """Re-bound the series.  Raising the bound asserts the caller knows
         the series is an exact polynomial (nothing was ever dropped)."""
+        if trunc < 0:
+            raise ValueError("truncation bound must be >= 0")
         out = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
-        return Series(self.registry, trunc, out, _checked=True)
+        return Series._make(self.registry, trunc, out)
 
     def rename(self, target: VariableRegistry, mapping: dict[str, str]) -> "Series":
         """Inject the series into another registry by renaming variables.
@@ -389,13 +410,13 @@ class Series:
         degree structure is untouched, so both registries must share N.
         """
         where = _rename_positions(self.registry, target, mapping)
-        return Series(target, self.trunc, _tremap(self.terms, where, target.size), _checked=True)
+        return Series._make(target, self.trunc, _tremap(self.terms, where, target.size))
 
     def shift(self, exps, coeff=1) -> "Series":
         """Multiply by a single monomial (terms pushed past trunc drop off)."""
         registry = self.registry
         mono = _clean_terms({tuple(exps): coeff}, registry.size, registry.modulus)
-        return Series(registry, self.trunc, _tmul(self.terms, mono, self.trunc), _checked=True)
+        return Series._make(registry, self.trunc, _tmul(self.terms, mono, self.trunc))
 
     # -- serialization ------------------------------------------------------------
 
@@ -753,21 +774,15 @@ def _pdiv_one_minus(f: dict, u: dict, mask: int, limit: int) -> dict:
 # -- the q-side: exponential rearrangement ------------------------------------------
 
 
-class QSeries:
+class QSeries(_Value):
     """Polynomial in an auxiliary variable q whose q^k coefficient is a
     homogeneous series of total degree N*k."""
 
     __slots__ = ("registry", "trunc", "order", "parts")
 
-    def __init__(self, registry: VariableRegistry, trunc: int, order: int, parts, _checked=False):
+    def __init__(self, registry: VariableRegistry, trunc: int, order: int, parts):
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.registry = registry
-        self.trunc = trunc
-        self.order = order
-        if _checked:
-            self.parts = parts
-            return
         clean: dict[int, Series] = {}
         for k, part in dict(parts).items():
             if not 0 <= k <= order:
@@ -779,9 +794,7 @@ class QSeries:
                 raise ValueError(f"part {k} is not homogeneous of degree {d}")
             if not part.is_zero():
                 clean[k] = part.with_trunc(trunc)
-        self.parts = clean
-
-    __setattr__ = _immutable("parts")
+        self._fill(registry, trunc, order, clean)
 
     def part(self, k: int) -> Series:
         if k in self.parts:
@@ -818,8 +831,8 @@ class QSeries:
                 r = i + j
                 if r <= order and r * self.registry.modulus <= trunc:
                     _padd_into(sums.setdefault(r, {}), _tmul(pa.terms, pb.terms))
-        parts = {r: Series(self.registry, trunc, t, _checked=True) for r, t in sums.items() if t}
-        return QSeries(self.registry, trunc, order, parts, _checked=True)
+        parts = {r: Series._make(self.registry, trunc, t) for r, t in sums.items() if t}
+        return QSeries._make(self.registry, trunc, order, parts)
 
     def to_text(self) -> str:
         lines = []
@@ -845,12 +858,10 @@ def e_transform(f: Series) -> QSeries:
     for e, c in f.terms.items():
         levels.setdefault(sum(e) // N, {})[e] = c
     parts = {
-        k: Series(f.registry, f.trunc, levels[k], _checked=True).scale(
-            Fraction(1, math.factorial(k))
-        )
+        k: Series._make(f.registry, f.trunc, levels[k]).scale(Fraction(1, math.factorial(k)))
         for k in sorted(levels)
     }
-    return QSeries(f.registry, f.trunc, f.trunc // N, parts, _checked=True)
+    return QSeries._make(f.registry, f.trunc, f.trunc // N, parts)
 
 
 def e_inverse(h: QSeries) -> Series:
@@ -858,4 +869,4 @@ def e_inverse(h: QSeries) -> Series:
     acc: dict = {}
     for k, part in h.parts.items():
         _padd_into(acc, part.terms, math.factorial(k))
-    return Series(h.registry, h.trunc, acc, _checked=True)
+    return Series._make(h.registry, h.trunc, acc)

@@ -89,7 +89,7 @@ def f_series(n: int, D: int) -> Series:
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     terms = _packed_f(n, D, {})
-    return Series(_registry(n), D, _Packing(2 * n, D).unpack(terms), _checked=True)
+    return Series._make(_registry(n), D, _Packing(2 * n, D).unpack(terms))
 
 
 def _packed_f(n: int, D: int, memo: dict) -> dict:

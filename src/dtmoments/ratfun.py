@@ -19,7 +19,6 @@ from .fps import (
     Series,
     VariableRegistry,
     _clean_terms,
-    _immutable,
     _in_order,
     _json_terms,
     _Packing,
@@ -33,6 +32,7 @@ from .fps import (
     _tmul,
     _tremap,
     _tscale,
+    _Value,
 )
 
 
@@ -84,17 +84,6 @@ def _div_walk(buckets: list, packing: _Packing, main: int, other: int) -> dict:
     return quot
 
 
-def _div_linear(terms: dict, packing: _Packing, main: int, other: int) -> dict:
-    """Exact division by x_main - x_other: the dividend is split once by its
-    degree in x_main and handed to _div_walk."""
-    shift = packing.shifts[main]
-    mask = packing.mask
-    buckets: list = [{} for _ in range(mask + 1)]
-    for e, c in terms.items():
-        buckets[(e >> shift) & mask][e] = c
-    return _div_walk(buckets, packing, main, other)
-
-
 def _newton_step(window: dict, packing: _Packing, b: int) -> dict:
     """(swap(window) - window) / (x_b - x_0), where swap exchanges the
     exponents of x_0 and x_b, in one pass over the window.
@@ -125,19 +114,16 @@ def _newton_step(window: dict, packing: _Packing, b: int) -> dict:
 # -- symbolic polynomials ------------------------------------------------------------
 
 
-class SymPoly:
+class SymPoly(_Value):
     """Sparse polynomial in named abstract symbols with exact coefficients."""
 
     __slots__ = ("symbols", "terms")
 
-    def __init__(self, symbols, terms=(), _checked=False):
+    def __init__(self, symbols, terms=()):
         symbols = tuple(symbols)
         if len(set(symbols)) != len(symbols):
             raise ValueError("symbols must be distinct")
-        self.symbols = symbols
-        self.terms = terms if _checked else _clean_terms(terms, len(symbols))
-
-    __setattr__ = _immutable("terms")
+        self._fill(symbols, _clean_terms(terms, len(symbols)))
 
     # -- constructors --
 
@@ -151,14 +137,14 @@ class SymPoly:
 
     @classmethod
     def zero(cls, symbols) -> "SymPoly":
-        return cls(symbols, {}, _checked=True)
+        return cls(symbols, {})
 
     @classmethod
     def symbol(cls, symbols, name) -> "SymPoly":
         symbols = tuple(symbols)
         e = [0] * len(symbols)
         e[symbols.index(name)] = 1
-        return cls(symbols, {tuple(e): 1}, _checked=True)
+        return cls(symbols, {tuple(e): 1})
 
     # -- basics --
 
@@ -193,7 +179,7 @@ class SymPoly:
         self._require_same(other)
         terms = dict(self.terms)
         _padd_into(terms, other.terms)
-        return SymPoly(self.symbols, terms, _checked=True)
+        return SymPoly._make(self.symbols, terms)
 
     def __neg__(self):
         return self * -1
@@ -206,11 +192,11 @@ class SymPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             terms = _tscale(self.terms, other, len(self.symbols))
-            return SymPoly(self.symbols, terms, _checked=True)
+            return SymPoly._make(self.symbols, terms)
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._require_same(other)
-        return SymPoly(self.symbols, _tmul(self.terms, other.terms), _checked=True)
+        return SymPoly._make(self.symbols, _tmul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -333,7 +319,7 @@ def _p_cell(m: int, n: int, k: int, l: int) -> SymPoly:
     if k and l < n - 1:
         terms = dict(_p_cell(m, n, k, l + 1).terms)
         _padd_into(terms, _p_cell(m, n, k - 1, l + 1).terms, -1)
-        return SymPoly(uv_symbols(m, n), terms, _checked=True)
+        return SymPoly._make(uv_symbols(m, n), terms)
     K = m - k - 1
     L = n - l - 1
     packing = _p_packing(m, n)
@@ -346,7 +332,7 @@ def _p_cell(m: int, n: int, k: int, l: int) -> SymPoly:
         _padd_into(window, _pshift(row, mono, packing.mask, limit), (-1) ** t * math.comb(L, t))
     for b in range(1, m):
         window = _newton_step(window, packing, b)
-    return SymPoly(uv_symbols(m, n), packing.unpack(window), _checked=True)
+    return SymPoly._make(uv_symbols(m, n), packing.unpack(window))
 
 
 # -- concrete degree-N forms and rational expressions -----------------------------------
@@ -417,7 +403,7 @@ class FormTable:
         if fid not in self.forms:
             # every term has degree N, so only the bound may need changing
             self.forms[fid] = (
-                form if form.trunc == N else Series(self.registry, N, form.terms, _checked=True)
+                form if form.trunc == N else Series._make(self.registry, N, form.terms)
             )
         return fid
 
@@ -448,7 +434,7 @@ def _check_prefix(registry: VariableRegistry, prefix: tuple) -> None:
 # -- packed numerators ------------------------------------------------------------------
 
 
-class RationalTerm:
+class RationalTerm(_Value):
     """prefix * numerator / prod_{id in denominator} (1 - form_id).
 
     The numerator is kept packed in the fps._Packing layout: ``fields`` are
@@ -472,20 +458,6 @@ class RationalTerm:
         packed = packing.pack(numerator.terms, degree)
         self._fill(prefix, denominator, numerator.symbols, packing, packed)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalTerm is immutable")
-
-    def _fill(self, *values) -> None:
-        """Set every slot once, ``values`` in __slots__ order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _make(cls, prefix, denominator, fields, packing, packed) -> "RationalTerm":
-        term = cls.__new__(cls)
-        term._fill(prefix, denominator, fields, packing, packed)
-        return term
-
     def _with(self, prefix, denominator) -> "RationalTerm":
         """The same numerator over another prefix and denominator."""
         return self._make(prefix, denominator, self.fields, self.packing, self.packed)
@@ -500,7 +472,7 @@ class RationalTerm:
 
     @property
     def numerator(self) -> SymPoly:
-        return SymPoly(self.symbols, self._numerator_terms(), _checked=True)
+        return SymPoly._make(self.symbols, self._numerator_terms())
 
     def __eq__(self, other):
         if not isinstance(other, RationalTerm):
@@ -542,17 +514,13 @@ def _added(a: RationalTerm, b: RationalTerm) -> RationalTerm:
     return RationalTerm._make(a.prefix, a.denominator, fields, packing, packed)
 
 
-class RationalExpr:
+class RationalExpr(_Value):
     """A sum of rational terms over a shared form table."""
 
     __slots__ = ("registry", "table", "terms")
 
-    def __init__(self, registry: VariableRegistry, table: FormTable, terms, _checked=False):
-        self.registry = registry
-        self.table = table
-        if _checked:
-            self.terms = tuple(terms)
-            return
+    def __init__(self, registry: VariableRegistry, table: FormTable, terms):
+        terms = tuple(terms)
         if table.registry != registry:
             raise ValueError("form table registry differs from the expression registry")
         for t in terms:
@@ -563,9 +531,7 @@ class RationalExpr:
             for s in t.fields:
                 if s not in table:
                     raise ValueError(f"numerator symbol {s!r} missing from the form table")
-        self.terms = tuple(terms)
-
-    __setattr__ = _immutable("terms")
+        self._fill(registry, table, terms)
 
     # -- constructors --
 
@@ -605,13 +571,13 @@ class RationalExpr:
     # -- algebra --
 
     @staticmethod
-    def _merged(terms) -> list:
+    def _merged(terms) -> tuple:
         keyed: dict = {}
         for t in terms:
             key = (t.prefix, t.denominator)
             old = keyed.get(key)
             keyed[key] = t if old is None else _added(old, t)
-        return [t for t in keyed.values() if t.packed]
+        return tuple(t for t in keyed.values() if t.packed)
 
     @classmethod
     def _sum(cls, exprs) -> "RationalExpr":
@@ -632,7 +598,7 @@ class RationalExpr:
                     table.forms.setdefault(fid, f)
                 yield from e.terms
 
-        return cls(first.registry, table, cls._merged(terms()), _checked=True)
+        return cls._make(first.registry, table, cls._merged(terms()))
 
     def __add__(self, other):
         if not isinstance(other, RationalExpr):
@@ -642,15 +608,15 @@ class RationalExpr:
     def scale_prefix(self, exps) -> "RationalExpr":
         exps = tuple(exps)
         _check_prefix(self.registry, exps)
-        terms = [t._with(tuple(map(add, t.prefix, exps)), t.denominator) for t in self.terms]
-        return RationalExpr(self.registry, self.table, terms, _checked=True)
+        terms = tuple(t._with(tuple(map(add, t.prefix, exps)), t.denominator) for t in self.terms)
+        return RationalExpr._make(self.registry, self.table, terms)
 
     def with_denominator(self, form: Series) -> "RationalExpr":
         """Multiply the whole expression by 1/(1 - form)."""
         table = self.table.copy()
         fid = table.add(form)
-        terms = [t._with(t.prefix, tuple(sorted(t.denominator + (fid,)))) for t in self.terms]
-        return RationalExpr(self.registry, table, terms, _checked=True)
+        terms = tuple(t._with(t.prefix, tuple(sorted(t.denominator + (fid,)))) for t in self.terms)
+        return RationalExpr._make(self.registry, table, terms)
 
     def substitute(self, target: VariableRegistry, name_map: dict) -> "RationalExpr":
         """Rename variables into another registry; form ids are recomputed.
@@ -662,7 +628,7 @@ class RationalExpr:
         table = FormTable(target)
         rename: dict[str, str] = {}
         for fid, f in self.table.forms.items():
-            form = Series(target, f.trunc, _tremap(f.terms, where, target.size), _checked=True)
+            form = Series._make(target, f.trunc, _tremap(f.terms, where, target.size))
             rename[fid] = table.add(form)
         terms = []
         for t in self.terms:
@@ -677,7 +643,7 @@ class RationalExpr:
                     t.packed,
                 )
             )
-        return RationalExpr(target, table, terms, _checked=True)
+        return RationalExpr._make(target, table, tuple(terms))
 
     # -- evaluation --
 
@@ -733,7 +699,7 @@ class RationalExpr:
             if not acc:
                 break
             acc = _pdiv_one_minus(acc, forms[fid], mask, trunc)
-        return Series(self.registry, trunc, packing.unpack(acc), _checked=True)
+        return Series._make(self.registry, trunc, packing.unpack(acc))
 
     # -- rendering --
 
@@ -958,7 +924,7 @@ def _odot_closed(e1: RationalExpr, e2: RationalExpr, memo: _ProductMemo) -> Rati
         for t1 in e1.terms
         for t2 in e2.terms
     ]
-    return RationalExpr(e1.registry, table, RationalExpr._merged(terms), _checked=True)
+    return RationalExpr._make(e1.registry, table, RationalExpr._merged(terms))
 
 
 def permutation_form(registry: VariableRegistry, sigma) -> Series:

@@ -1,5 +1,9 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+
+import pytest
 
 from dtmoments.fps import Series, VariableRegistry
 
@@ -61,3 +65,20 @@ def balanced_keys(n, m):
                 key.append(k)
                 key.append(l)
             yield tuple(key)
+
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+def assert_frozen(value):
+    """Setting or deleting any slot of a value type raises AttributeError."""
+    name = type(value).__name__
+    for slot in type(value).__slots__:
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            delattr(value, slot)

@@ -10,11 +10,12 @@ pair by term pair on SymPoly products, and the two series pipelines (F_n
 and the expansion of a rational expression) on tuple-keyed Series,
 multiplying by geometric(u, D) where the package divides packed terms by
 1 - u.  One route is narrower: p_by_window builds each P cell by its own
-full divided difference, sharing the row product and _div_linear with the
-package, so it checks the cell recurrence and the fused Newton step only.
+full divided difference, sharing the row product and the synthetic
+division _div_walk with the package, so it checks the cell recurrence and
+the fused Newton step only.
 It also holds the helpers that only the tests need: the homogeneous slices
-of a Series, a SymPoly re-expressed over other symbols, and the packed
-exponent swap.
+of a Series, a SymPoly re-expressed over other symbols, the packed
+exponent swap and the exact division by a difference x_a - x_b.
 """
 
 import math
@@ -39,7 +40,7 @@ from dtmoments.ratfun import (
     RationalExpr,
     RationalTerm,
     SymPoly,
-    _div_linear,
+    _div_walk,
     _p_packing,
     _power,
     _row_product,
@@ -147,6 +148,17 @@ def _swapped(terms: dict, packing: _Packing, a: int, b: int) -> dict:
     return {e + (((e >> sb) & mask) - ((e >> sa) & mask)) * delta: c for e, c in terms.items()}
 
 
+def _div_linear(terms: dict, packing: _Packing, main: int, other: int) -> dict:
+    """Exact division by x_main - x_other: the dividend is split once by its
+    degree in x_main and handed to the package's _div_walk."""
+    shift = packing.shifts[main]
+    mask = packing.mask
+    buckets: list = [{} for _ in range(mask + 1)]
+    for e, c in terms.items():
+        buckets[(e >> shift) & mask][e] = c
+    return _div_walk(buckets, packing, main, other)
+
+
 def p_by_window(m: int, n: int, k: int, l: int) -> SymPoly:
     """P^{k,l}_{m,n} from its own window u_0^K (1-u_0)^L * row, K = m-k-1,
     L = n-l-1, in L + 1 shifted copies of the row product, followed by m-1
@@ -166,7 +178,7 @@ def p_by_window(m: int, n: int, k: int, l: int) -> SymPoly:
         dividend = _swapped(window, packing, 0, b)
         _padd_into(dividend, window, -1)
         window = _div_linear(dividend, packing, b, 0)
-    return SymPoly(uv_symbols(m, n), packing.unpack(window), _checked=True)
+    return SymPoly._make(uv_symbols(m, n), packing.unpack(window))
 
 
 # -- the moment recursion on raw keys -------------------------------------------------
@@ -262,7 +274,7 @@ def odot_many_direct(fs) -> Series:
             out[key] = v
         elif key in out:
             del out[key]
-    return Series(registry, D, out, _checked=True)
+    return Series._make(registry, D, out)
 
 
 # -- the closed product by SymPoly products --------------------------------------------
@@ -334,7 +346,7 @@ def odot_closed_by_products(e1, e2):
         for t1 in e1.terms
         for t2 in e2.terms
     ]
-    return RationalExpr(e1.registry, table, RationalExpr._merged(terms), _checked=True)
+    return RationalExpr._make(e1.registry, table, RationalExpr._merged(terms))
 
 
 # -- the series pipelines by geometric series ------------------------------------------

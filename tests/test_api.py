@@ -5,20 +5,25 @@ direct multinomial product) and test-only helpers (homogeneous slices,
 re-expressing a SymPoly over other symbols) live in tests/oracles.py, not
 in the package.
 README's library and command-line examples run as written, every name a
-package module imports is used there or exported, and FormTable.add is the
-one place the package renders a form id.
+package module imports is used there or exported, FormTable.add is the
+one place the package renders a form id, and importing the command line
+loads neither dataclasses nor inspect.
 """
 
 import ast
 import inspect
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import dtmoments
 from dtmoments import cli, fps, genfun, moments, ratfun
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC = {
     "DistinctnessViolation",
@@ -70,6 +75,7 @@ TEST_ONLY = (
     "expand_by_geometric",
     "p_by_window",
     "_swapped",
+    "_div_linear",
 )
 
 
@@ -186,3 +192,16 @@ def test_form_ids_are_rendered_only_in_form_table_add():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), (path.name,))
     assert [scope for scope, _ in calls] == [("ratfun.py", "FormTable", "add")], calls
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # pytest itself loads both, so only a fresh interpreter can tell
+    code = (
+        "import sys, dtmoments.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == []

@@ -20,7 +20,16 @@ from dtmoments.fps import (
     geometric,
     odot_many,
 )
-from conftest import ZW1, ZW2, ZW3, random_fractions, random_theta_series
+from dtmoments.genfun import f_series
+from conftest import (
+    CLONES,
+    ZW1,
+    ZW2,
+    ZW3,
+    assert_frozen,
+    random_fractions,
+    random_theta_series,
+)
 from oracles import homogeneous_part, max_part_index, odot_many_direct
 
 
@@ -71,6 +80,66 @@ def test_series_is_immutable():
     f = Series.one(ZW1, 4)
     with pytest.raises(AttributeError):
         f.trunc = 10
+
+
+def _fps_values():
+    f = Series.monomial(ZW1, 4, (1, 1), Fraction(3, 2))
+    return [ZW1, f, e_transform(f)]
+
+
+@pytest.mark.parametrize("i", range(3), ids=["VariableRegistry", "Series", "QSeries"])
+def test_every_slot_refuses_set_and_del(i):
+    value = _fps_values()[i]
+    assert_frozen(value)
+    assert value == _fps_values()[i]
+
+
+def test_del_cannot_empty_the_cached_series():
+    f = f_series(2, 4)
+    terms = dict(f.terms)
+    with pytest.raises(AttributeError):
+        del f.terms
+    with pytest.raises(AttributeError):
+        f.terms = {}
+    assert f_series(2, 4) is f
+    assert f.terms == terms
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_copies_and_pickles_rebuild_equal_values(clone):
+    for value in _fps_values():
+        twin = clone(value)
+        assert type(twin) is type(value) and twin == value
+    registry = clone(ZW2)
+    assert registry.index("w2") == 3 and hash(registry) == hash(ZW2)
+
+
+def test_registry_equality_hash_and_repr():
+    r = VariableRegistry(("z1", "w1"))
+    assert repr(r) == "VariableRegistry(names=('z1', 'w1'), modulus=2)"
+    assert repr(VariableRegistry(names=("a",), modulus=1)) == (
+        "VariableRegistry(names=('a',), modulus=1)"
+    )
+    assert r == VariableRegistry(("z1", "w1"), 2) == ZW1
+    assert hash(r) == hash((("z1", "w1"), 2)) == hash(ZW1)
+    assert len({r, ZW1, VariableRegistry(("z1", "w1"), 1)}) == 2
+    assert r != VariableRegistry(("z1", "w1"), 1)
+    assert r != VariableRegistry(("w1", "z1"))
+    assert r.__eq__((("z1", "w1"), 2)) is NotImplemented
+
+    class Other(VariableRegistry):
+        __slots__ = ()
+
+    assert r.__eq__(Other(("z1", "w1"))) is NotImplemented
+
+
+def test_outside_bounds_are_checked():
+    with pytest.raises(ValueError, match="truncation bound"):
+        Series.zero(ZW1, -1)
+    with pytest.raises(ValueError, match="truncation bound"):
+        Series.one(ZW1, 4).with_trunc(-1)
+    with pytest.raises(ValueError, match="order"):
+        QSeries(ZW1, 4, -1, {})
 
 
 # -- ring operations -----------------------------------------------------------
@@ -312,7 +381,7 @@ def packed_round_trip(registry, D, op, *operands):
     """op on the packed operands, unpacked into a Series truncated at D."""
     packing = _Packing(registry.size, D)
     packed = [packing.pack(f.terms, D) for f in operands]
-    return Series(registry, D, packing.unpack(op(*packed, packing.mask, D)), _checked=True)
+    return Series._make(registry, D, packing.unpack(op(*packed, packing.mask, D)))
 
 
 @pytest.mark.parametrize(

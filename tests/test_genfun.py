@@ -72,6 +72,17 @@ def test_only_balanced_exponents_appear():
             assert sum(ks) == sum(ls)
 
 
+@pytest.mark.parametrize("n, D", [(3, 20), (4, 12), (5, 10), (6, 8), (7, 6)])
+def test_series_level_sums_match_the_all_pairs_equal_law(n, D):
+    # Setting every z_i = z and w_i = w is observed to give (1 - n zw)^(-n),
+    # so the coefficients of level m (k-sum = l-sum = m) sum to
+    # n^m C(m+n-1, n-1).
+    sums = dict.fromkeys(range(D // 2 + 1), 0)
+    for exps, c in f_series(n, D).terms.items():
+        sums[sum(exps) // 2] += c
+    assert sums == {m: n**m * math.comb(m + n - 1, n - 1) for m in sums}
+
+
 def test_geometric_inverts_one_minus_the_form():
     # f_series(n, D) is geometric(identity form) times the recursion's
     # right-hand side, so the recursion holds exactly when geometric(u, D)

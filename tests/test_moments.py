@@ -315,6 +315,15 @@ def test_recursion_sub_keys_stay_out_of_the_orbit_table():
         assert canonical_key(key) == key, key
 
 
+@pytest.mark.parametrize("n, m", [(2, 30), (3, 12), (4, 8)])
+def test_level_sums_match_the_all_pairs_equal_law(n, m):
+    # the recursion's side of tests/test_genfun.py's level-sum law: every
+    # balanced key of level m, zero entries included, on a fresh engine
+    engine = MomentEngine()
+    total = sum(engine.n_value(key) for key in balanced_keys(n, m))
+    assert total == n**m * math.comb(m + n - 1, n - 1)
+
+
 def test_values_are_nonnegative_integers():
     engine = MomentEngine()
     for n in (1, 2, 3):

@@ -22,7 +22,6 @@ from dtmoments.ratfun import (
     RationalExpr,
     RationalTerm,
     SymPoly,
-    _div_linear,
     _newton_step,
     _odot_closed,
     _p_cell,
@@ -36,8 +35,9 @@ from dtmoments.ratfun import (
     uv_symbols,
 )
 from dtmoments import genfun, ratfun
-from conftest import ZW2, ZW3
+from conftest import CLONES, ZW2, ZW3, assert_frozen
 from oracles import (
+    _div_linear,
     _swapped,
     expand_by_geometric,
     odot_closed_by_products,
@@ -90,6 +90,52 @@ def test_sympoly_is_immutable():
         p.terms = {}
     with pytest.raises(AttributeError):
         p.symbols = ("c", "d")
+
+
+def _ratfun_values():
+    e = genfun.f_rational(2)
+    return [SymPoly.symbol(("a", "b"), "a"), e.terms[0], e]
+
+
+@pytest.mark.parametrize("i", range(3), ids=["SymPoly", "RationalTerm", "RationalExpr"])
+def test_every_slot_refuses_set_and_del(i):
+    value = _ratfun_values()[i]
+    assert_frozen(value)
+    assert value == _ratfun_values()[i]
+
+
+def test_del_cannot_empty_the_cached_rational_form():
+    e = genfun.f_rational(3)
+    terms, forms = e.terms, dict(e.table.forms)
+    for slot in ("terms", "table"):
+        with pytest.raises(AttributeError):
+            delattr(e, slot)
+    with pytest.raises(AttributeError):
+        del e.terms[0].packed
+    assert genfun.f_rational(3) is e
+    assert e.terms is terms and e.table.forms == forms
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_copies_and_pickles_rebuild_equal_values(clone):
+    for value in _ratfun_values():
+        twin = clone(value)
+        assert type(twin) is type(value) and twin == value
+    e = genfun.f_rational(3)
+    assert clone(e).expand(6) == e.expand(6)
+
+
+def test_symbol_lists_from_outside_are_checked():
+    with pytest.raises(ValueError, match="distinct"):
+        SymPoly.zero(("a", "a"))
+    with pytest.raises(ValueError, match="distinct"):
+        SymPoly.symbol(("a", "a"), "a")
+
+
+def test_rational_expr_keeps_the_terms_of_a_generator():
+    e = genfun.f_rational(3)
+    g = RationalExpr(e.registry, e.table, (t for t in e.terms))
+    assert len(g.terms) == len(e.terms) and g == e
 
 
 def test_sympoly_with_symbols_can_merge():
