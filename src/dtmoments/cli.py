@@ -186,15 +186,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, output="text"):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--output",
             choices=["text", "json"],
-            default=None,
             help="report format (default: text; json for the checkers)",
         )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, output=output)
         return p
 
     p = add("moment", _cmd_moment, "N and M of one moment key")
@@ -226,23 +225,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, default=None, help="degree bound (kind g)")
     p.add_argument("--K", type=int, default=None, help="index bound (kind h)")
 
-    p = add("check-conjecture", _cmd_check_conjecture, "compare N(k,...,k) to n^(nk)")
+    p = add("check-conjecture", _cmd_check_conjecture, "compare N(k,...,k) to n^(nk)", "json")
     p.add_argument("--n", type=int, required=True, help="variable pairs")
     p.add_argument("--K", type=int, required=True, help="largest k")
 
-    p = add("check-identity", _cmd_check_identity, "the three-pair multinomial identity")
+    p = add("check-identity", _cmd_check_identity, "the three-pair multinomial identity", "json")
     p.add_argument("--p", type=int, required=True, help="identity order")
 
     return parser
 
 
-_JSON_DEFAULT = {"check-conjecture", "check-identity"}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.output is None:
-        args.output = "json" if args.command in _JSON_DEFAULT else "text"
     # exact integers of any size go in and out as decimal text: lift the
     # interpreter's int-digit cap for this run only, since callers may share it
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

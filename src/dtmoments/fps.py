@@ -23,6 +23,10 @@ the package builds a value from parts it has already checked with _make,
 which checks nothing.  Either way every slot is set once and a later set or
 del raises AttributeError, so a cached value (f_series and f_rational hand
 every caller the same object) cannot be changed under its other holders.
+Values compare by value in the base too: equal when they share a class and
+their slots are equal.  RationalTerm and RationalExpr compare their own
+way, since a term's numerator layout and an expression's table object are
+not part of what they are.
 """
 
 import math
@@ -195,7 +199,8 @@ def _json_terms(items) -> list:
 class _Value:
     """The frozen base of the value types (see the module docstring).  A
     checking constructor ends with one _fill; copies and pickles rebuild
-    through _make."""
+    through _make.  Two values are equal when they share a class and their
+    slots are equal, compared in __slots__ order."""
 
     __slots__ = ()
 
@@ -215,6 +220,15 @@ class _Value:
 
     __delattr__ = __setattr__
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    __hash__ = None
+
     def __reduce__(self):
         return type(self)._make, tuple(getattr(self, name) for name in self.__slots__)
 
@@ -229,6 +243,7 @@ class VariableRegistry(_Value):
     __slots__ = ("names", "modulus", "_positions")
 
     def __init__(self, names: tuple[str, ...], modulus: int = 2):
+        names = tuple(names)
         if not names or len(set(names)) != len(names):
             raise ValueError("variable names must be nonempty and distinct")
         if not all(isinstance(s, str) and s for s in names):
@@ -236,11 +251,6 @@ class VariableRegistry(_Value):
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
         self._fill(names, modulus, {name: i for i, name in enumerate(names)})
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.names, self.modulus) == (other.names, other.modulus)
 
     def __hash__(self) -> int:
         return hash((self.names, self.modulus))
@@ -312,17 +322,6 @@ class Series(_Value):
         """Terms in the canonical order: by total degree, then by exponent
         tuple with earlier registry variables first."""
         return _in_order(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (
-            self.registry == other.registry
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"Series({len(self.terms)} terms, vars={len(self.registry.names)}, D={self.trunc})"
@@ -800,18 +799,6 @@ class QSeries(_Value):
         if k in self.parts:
             return self.parts[k]
         return Series.zero(self.registry, self.trunc)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return (
-            self.registry == other.registry
-            and self.trunc == other.trunc
-            and self.order == other.order
-            and self.parts == other.parts
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"QSeries(order={self.order}, parts={sorted(self.parts)})"

@@ -140,11 +140,13 @@ class MomentEngine:
     concurrent use is safe at worst at the price of duplicate work.
 
     Keys from outside (n_value, moment) pass one door, _lookup, which runs
-    each check once: the single-pair law, a memo probe on the key as given,
-    0 for a negative entry or unequal k-sum and l-sum, zero contraction,
-    and the orbit table, which maps each contracted outside key to its
-    canonical key and grows only with the distinct keys asked for.  The
-    recursion _n takes trusted keys: its sub-keys are nonnegative, since
+    each check once, in this order: the single-pair law; 0 for a negative
+    entry or unequal k-sum and l-sum; zero contraction, after which a
+    single pair is decided by the same law; and the orbit table, which maps
+    each contracted outside key to its canonical key and grows only with
+    the distinct keys asked for.  The canonical key then goes to _n, whose
+    first memo probe finds any value already known.  The recursion _n takes
+    trusted keys: its sub-keys are nonnegative, since
     it splits only zero-free keys, and balanced, since the split sum skips
     every inner subword whose k-sum and l-sum differ and the outer subword
     of a nonzero chain is then balanced too.  It probes the memo, contracts
@@ -189,10 +191,6 @@ class MomentEngine:
         orbit table."""
         if len(key) == 2:
             return 1 if key[0] == key[1] else 0
-        # memo keys are canonical, so a hit on the key as given is its value
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         if min(key) < 0 or sum(key[0::2]) != sum(key[1::2]):
             return 0
         key = _contract(key)

@@ -161,13 +161,6 @@ class SymPoly(_Value):
         if self.symbols != other.symbols:
             raise ValueError("operands use different symbol tuples")
 
-    def __eq__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self.symbols == other.symbols and self.terms == other.terms
-
-    __hash__ = None
-
     def __repr__(self):
         return f"SymPoly({self.pretty()})"
 
@@ -477,15 +470,9 @@ class RationalTerm(_Value):
     def __eq__(self, other):
         if not isinstance(other, RationalTerm):
             return NotImplemented
-        if (self.prefix, self.denominator, self.symbols) != (
-            other.prefix, other.denominator, other.symbols
-        ):
-            return False
-        if (self.fields, self.packing.width) == (other.fields, other.packing.width):
-            return self.packed == other.packed
-        return self.numerator == other.numerator
-
-    __hash__ = None
+        return (self.prefix, self.denominator, self.symbols, self._numerator_terms()) == (
+            other.prefix, other.denominator, other.symbols, other._numerator_terms()
+        )
 
     def __repr__(self):
         return (
@@ -502,22 +489,21 @@ def _added(a: RationalTerm, b: RationalTerm) -> RationalTerm:
     fields = a.fields + tuple(s for s in b.fields if s not in a.fields)
     # a layout's mask is the largest degree it holds
     packing = _Packing(len(fields), max(a.packing.mask, b.packing.mask))
-    if packing.width == a.packing.width:
-        packed = dict(a.packed)
-    else:
-        packed = _premap(a.packed, a.packing, packing, range(len(a.fields)))
-    if packing.width == b.packing.width and b.fields == fields[: len(b.fields)]:
-        _padd_into(packed, b.packed)
-    else:
-        slot = {s: i for i, s in enumerate(fields)}
-        _padd_into(packed, _premap(b.packed, b.packing, packing, [slot[s] for s in b.fields]))
+    slot = {s: i for i, s in enumerate(fields)}
+    packed = _premap(a.packed, a.packing, packing, range(len(a.fields)))
+    _padd_into(packed, _premap(b.packed, b.packing, packing, [slot[s] for s in b.fields]))
     return RationalTerm._make(a.prefix, a.denominator, fields, packing, packed)
 
 
 class RationalExpr(_Value):
-    """A sum of rational terms over a shared form table."""
+    """A sum of rational terms over a shared form table.
 
-    __slots__ = ("registry", "table", "terms")
+    The expression owns its table: the constructor keeps a copy of the
+    table it is given, and ``table`` hands out a copy, so that no caller can
+    add a form to an expression, cached or not.
+    """
+
+    __slots__ = ("registry", "_table", "terms")
 
     def __init__(self, registry: VariableRegistry, table: FormTable, terms):
         terms = tuple(terms)
@@ -531,7 +517,7 @@ class RationalExpr(_Value):
             for s in t.fields:
                 if s not in table:
                     raise ValueError(f"numerator symbol {s!r} missing from the form table")
-        self._fill(registry, table, terms)
+        self._fill(registry, table.copy(), terms)
 
     # -- constructors --
 
@@ -551,6 +537,11 @@ class RationalExpr(_Value):
         """1/(1 - form)."""
         return cls.single(registry, (0,) * registry.size, 1, [form])
 
+    @property
+    def table(self) -> FormTable:
+        """A copy of the form table; adding to it leaves the expression as is."""
+        return self._table.copy()
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -559,14 +550,12 @@ class RationalExpr(_Value):
             return NotImplemented
         return (
             self.registry == other.registry
-            and self.table.forms == other.table.forms
+            and self._table.forms == other._table.forms
             and self.terms == other.terms
         )
 
-    __hash__ = None
-
     def __repr__(self):
-        return f"RationalExpr({len(self.terms)} terms, {len(self.table.forms)} forms)"
+        return f"RationalExpr({len(self.terms)} terms, {len(self._table.forms)} forms)"
 
     # -- algebra --
 
@@ -587,14 +576,14 @@ class RationalExpr(_Value):
         its terms are in."""
         exprs = iter(exprs)
         first = next(exprs)
-        table = first.table.copy()
+        table = first._table.copy()
 
         def terms():
             yield from first.terms
             for e in exprs:
                 if e.registry != first.registry:
                     raise ValueError("operands live over different variable registries")
-                for fid, f in e.table.forms.items():
+                for fid, f in e._table.forms.items():
                     table.forms.setdefault(fid, f)
                 yield from e.terms
 
@@ -609,11 +598,11 @@ class RationalExpr(_Value):
         exps = tuple(exps)
         _check_prefix(self.registry, exps)
         terms = tuple(t._with(tuple(map(add, t.prefix, exps)), t.denominator) for t in self.terms)
-        return RationalExpr._make(self.registry, self.table, terms)
+        return RationalExpr._make(self.registry, self._table, terms)
 
     def with_denominator(self, form: Series) -> "RationalExpr":
         """Multiply the whole expression by 1/(1 - form)."""
-        table = self.table.copy()
+        table = self._table.copy()
         fid = table.add(form)
         terms = tuple(t._with(t.prefix, tuple(sorted(t.denominator + (fid,)))) for t in self.terms)
         return RationalExpr._make(self.registry, table, terms)
@@ -627,7 +616,7 @@ class RationalExpr(_Value):
         where = _rename_positions(self.registry, target, name_map)
         table = FormTable(target)
         rename: dict[str, str] = {}
-        for fid, f in self.table.forms.items():
+        for fid, f in self._table.forms.items():
             form = Series._make(target, f.trunc, _tremap(f.terms, where, target.size))
             rename[fid] = table.add(form)
         terms = []
@@ -662,7 +651,7 @@ class RationalExpr(_Value):
         """
         packing = _Packing(self.registry.size, trunc)
         mask = packing.mask
-        forms = {fid: packing.pack(f.terms, trunc) for fid, f in self.table.forms.items()}
+        forms = {fid: packing.pack(f.terms, trunc) for fid, f in self._table.forms.items()}
         powers: dict = {}
 
         def power(fid: str, k: int) -> dict:
@@ -709,8 +698,8 @@ class RationalExpr(_Value):
     def _pretty_chunks(self):
         """pretty() piece by piece: each form line, then each term, so that
         a caller can write out a large expression without holding its text."""
-        alias = self.table.display_names()
-        for fid in self.table.forms:
+        alias = self._table.display_names()
+        for fid in self._table.forms:
             yield f"{alias[fid]} = {fid}\n"
         if not self.terms:
             yield "0"
@@ -733,7 +722,7 @@ class RationalExpr(_Value):
         return {"terms": [self._json_term(t) for t in self.terms], "forms": self._json_forms()}
 
     def _json_forms(self) -> dict:
-        return {fid: f.to_json_dict() for fid, f in self.table.forms.items()}
+        return {fid: f.to_json_dict() for fid, f in self._table.forms.items()}
 
     def _json_term(self, t: RationalTerm) -> dict:
         """One entry of to_json_dict's terms, so that a caller can write the
@@ -920,7 +909,7 @@ def _odot_closed(e1: RationalExpr, e2: RationalExpr, memo: _ProductMemo) -> Rati
         raise ValueError("operands live over different variable registries")
     table = FormTable(e1.registry)
     terms = [
-        _odot_pair(e1.registry, table, e1.table.forms, t1, e2.table.forms, t2, memo)
+        _odot_pair(e1.registry, table, e1._table.forms, t1, e2._table.forms, t2, memo)
         for t1 in e1.terms
         for t2 in e2.terms
     ]

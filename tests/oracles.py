@@ -13,6 +13,9 @@ multiplying by geometric(u, D) where the package divides packed terms by
 full divided difference, sharing the row product and the synthetic
 division _div_walk with the package, so it checks the cell recurrence and
 the fused Newton step only.
+Two evaluators specialize to all pairs equal, z_i = z and w_i = w with
+t = zw: the closed form read through its public fields, and the recursion
+run in one variable on the package's split blueprints.
 It also holds the helpers that only the tests need: the homogeneous slices
 of a Series, a SymPoly re-expressed over other symbols, the packed
 exponent swap and the exact division by a difference x_a - x_b.
@@ -409,3 +412,99 @@ def expand_by_geometric(expr, D: int) -> Series:
             part = part * geometric(expr.table.forms[fid], budget)
         _accumulate(acc, part.with_trunc(D).shift(t.prefix).terms)
     return Series(expr.registry, D, acc)
+
+
+# -- the all-pairs-equal specialization z_i = z, w_i = w, t = zw -------------------------
+
+
+def _tpoly_mul(a: list, b: list) -> list:
+    """The product of two polynomials in t, given as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _form_at_equal_pairs(form: Series) -> int:
+    """a for a form that turns into a*t: each of its a terms is one z times
+    one w with coefficient 1."""
+    for exps, c in form.terms.items():
+        assert c == 1, (exps, c)
+        assert sum(exps[0::2]) == sum(exps[1::2]) == 1, exps
+    return len(form.terms)
+
+
+def closed_form_at_equal_pairs(expr) -> tuple:
+    """(d_max, S) for a RationalExpr over z1, w1, ..., zn, wn, read through
+    its public fields only.  Under z_i = z, w_i = w every form of its table
+    becomes a*t, with a its term count, and every denominator form must
+    become 1 - n*t.  A term of prefix level p, numerator num and d
+    denominator factors is then t^p num(t) / (1 - n*t)^d; S is the
+    coefficient list in t of the sum over the terms of
+    t^p num(t) (1 - n*t)^(d_max - d), with d_max the largest d."""
+    n = expr.registry.pair_count
+    forms = expr.table.forms
+    scale = {fid: _form_at_equal_pairs(f) for fid, f in forms.items()}
+    d_max = max(len(t.denominator) for t in expr.terms)
+    powers = [[1]]  # (1 - n*t)^i
+    for _ in range(d_max):
+        powers.append(_tpoly_mul(powers[-1], [1, -n]))
+    total: list = []
+    for t in expr.terms:
+        assert all(scale[fid] == n for fid in t.denominator), t.denominator
+        num = t.numerator
+        values = [scale[s] for s in num.symbols]
+        level = sum(t.prefix) // 2
+        part: list = []
+        for exps, c in num.terms.items():
+            k = level + sum(exps)
+            part.extend([0] * (k + 1 - len(part)))
+            part[k] += c * math.prod(a**x for a, x in zip(values, exps))
+        part = _tpoly_mul(part, powers[d_max - len(t.denominator)])
+        total.extend([0] * (len(part) - len(total)))
+        for i, x in enumerate(part):
+            total[i] += x
+    while total and not total[-1]:
+        total.pop()
+    return d_max, total
+
+
+def series_at_equal_pairs(n: int, M: int) -> dict:
+    """{k: G_k} for k = 1..n, where G_k is F_k under z_i = z, w_i = w, as
+    its coefficients in t = zw up to t^M.  It runs the recursion specialized
+    to one variable: (1 - k*t) G_k is the sum over genfun._split_factors(k)
+    of the graded products of the placed factors, where a factor on j pairs
+    with a prefix of level p becomes t^p G_j, and the graded product
+    weights levels (i, l) by C(i + l, i).  Placed factors, and products of
+    equal factor multisets, are built once."""
+    series: dict = {}  # k -> G_k
+    placed: dict = {}  # (k, p) -> t^p G_k
+    products: dict = {(): [1] + [0] * M}  # sorted (k, p) tuple -> graded product
+
+    def odot(f: list, g: list) -> list:
+        return [
+            sum(math.comb(m, i) * f[i] * g[m - i] for i in range(m + 1) if f[i])
+            for m in range(M + 1)
+        ]
+
+    def product_of(key: tuple) -> list:
+        if key not in products:
+            k, p = key[-1]
+            if (k, p) not in placed:
+                placed[k, p] = ([0] * p + series[k])[: M + 1]
+            products[key] = odot(product_of(key[:-1]), placed[k, p])
+        return products[key]
+
+    for order in range(1, n + 1):
+        rhs = [int(order == 1)] + [0] * M  # (1 - t) G_1 = 1; no split at order 1
+        for factors in _split_factors(order):
+            key = tuple(sorted((len(w) // 2, sum(p) // 2) for w, p in factors))
+            for m, x in enumerate(product_of(key)):
+                rhs[m] += x
+        g = []
+        for m in range(M + 1):  # G = rhs / (1 - order*t)
+            g.append(rhs[m] + (order * g[m - 1] if m else 0))
+        series[order] = g
+    return series

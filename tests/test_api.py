@@ -76,6 +76,8 @@ TEST_ONLY = (
     "p_by_window",
     "_swapped",
     "_div_linear",
+    "closed_form_at_equal_pairs",
+    "series_at_equal_pairs",
 )
 
 

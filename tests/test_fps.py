@@ -21,6 +21,7 @@ from dtmoments.fps import (
     odot_many,
 )
 from dtmoments.genfun import f_series
+from dtmoments.ratfun import SymPoly, form_id
 from conftest import (
     CLONES,
     ZW1,
@@ -131,6 +132,31 @@ def test_registry_equality_hash_and_repr():
         __slots__ = ()
 
     assert r.__eq__(Other(("z1", "w1"))) is NotImplemented
+
+
+def test_registry_from_a_name_list_equals_the_tuple_built_one():
+    r = VariableRegistry(["z1", "w1"])
+    assert r.names == ("z1", "w1")
+    assert r == ZW1 and hash(r) == hash(ZW1)
+    assert form_id(Series(r, 2, {(1, 1): 1})) == "z1w1"
+
+
+def test_values_compare_slot_by_slot():
+    f = Series.monomial(ZW1, 4, (1, 1), 3)
+    q = e_transform(f)
+    p = SymPoly.symbol(("a", "b"), "a")
+    for value, twin, other in (
+        (f, Series.monomial(ZW1, 4, (1, 1), 3), Series.monomial(ZW1, 2, (1, 1), 3)),
+        (q, e_transform(Series.monomial(ZW1, 4, (1, 1), 3)), e_transform(f.with_trunc(2))),
+        (p, SymPoly(("a", "b"), {(1, 0): 1}), SymPoly(("b", "a"), {(1, 0): 1})),
+    ):
+        assert value == value and value == twin and not value != twin
+        assert value != other
+        # another class is never equal, not even a tuple of the same slot values
+        assert value.__eq__(twin.__reduce__()[1]) is NotImplemented
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    assert f != q and q != p
 
 
 def test_outside_bounds_are_checked():

@@ -23,7 +23,12 @@ from dtmoments.ratfun import (
     permutation_form,
 )
 from conftest import ZW2, ZW3, balanced_keys
-from oracles import expand_by_geometric, f_series_by_geometric
+from oracles import (
+    closed_form_at_equal_pairs,
+    expand_by_geometric,
+    f_series_by_geometric,
+    series_at_equal_pairs,
+)
 
 
 def zw_form(registry, *pairs):
@@ -81,6 +86,26 @@ def test_series_level_sums_match_the_all_pairs_equal_law(n, D):
     for exps, c in f_series(n, D).terms.items():
         sums[sum(exps) // 2] += c
     assert sums == {m: n**m * math.comb(m + n - 1, n - 1) for m in sums}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_matches_the_all_pairs_equal_law(n):
+    # every denominator form becomes 1 - n t, so F_n = (1 - n t)^(-n) says
+    # that the terms brought over (1 - n t)^d_max sum to (1 - n t)^(d_max - n),
+    # as polynomials: every degree at once
+    d_max, total = closed_form_at_equal_pairs(f_rational(n))
+    assert d_max >= n
+    assert total == [math.comb(d_max - n, i) * (-n) ** i for i in range(d_max - n + 1)]
+
+
+def test_shadow_recursion_matches_the_all_pairs_equal_law():
+    # the recursion's split blueprints, specialized to one variable, far
+    # beyond the orders either pipeline reaches
+    M = 40
+    series = series_at_equal_pairs(14, M)
+    assert sorted(series) == list(range(1, 15))
+    for n, g in series.items():
+        assert g == [n**m * math.comb(m + n - 1, n - 1) for m in range(M + 1)], n
 
 
 def test_geometric_inverts_one_minus_the_form():

@@ -138,6 +138,20 @@ def test_rational_expr_keeps_the_terms_of_a_generator():
     assert len(g.terms) == len(e.terms) and g == e
 
 
+def test_callers_cannot_change_an_expression_through_its_table():
+    e = genfun.f_rational(3)
+    before = e.pretty()
+    stray = Series(e.registry, 2, {(0, 0, 1, 0, 0, 1): 1})
+    e.table.add(stray)
+    assert genfun.f_rational(3).pretty() == before
+    table = e.table
+    g = RationalExpr(e.registry, table, e.terms)
+    table.add(stray)
+    assert g == e and g.pretty() == before
+    assert "_table" in RationalExpr.__slots__
+    assert_frozen(g)
+
+
 def test_sympoly_with_symbols_can_merge():
     p = sp(1, 1, {"u1 v1": 3})
     merged = with_symbols(p, ("a",), {"u1": "a", "v1": "a"})
