@@ -10,6 +10,14 @@ one rename and one shift.  This module evaluates that recursion in two
 independent modes -- truncated series (fps core) and closed rational form
 (ratfun core) -- and extracts the diagonal series plus the conjecture
 checkers built on them.
+
+The series mode groups the split sum by first and last split, as the moment
+recursion does: a term is an outer subword, fixed by its first and last
+split, times the inner subwords between consecutive splits, so a chain
+table per first split adds the inner factors one at a time.  That takes
+C(n,3) + C(n,2) graded products (56 at n = 7) against one per factor pair
+of every split set (321), and places each blueprint once per order.  The
+closed form walks the split sets one by one, in the term order it shows.
 """
 
 from functools import lru_cache
@@ -43,8 +51,32 @@ def _registry(n: int) -> VariableRegistry:
     return VariableRegistry.zw_pairs(n)
 
 
+def _blueprint(n: int, where: tuple, p: int, q: int) -> tuple:
+    """(where, prefix) for a lower-order F placed at the registry positions
+    ``where`` of n pairs, its prefix z/w monomial at positions p and q."""
+    prefix = [0] * (2 * n)
+    if len(where) > 2:  # the one place a single pair is told apart
+        prefix[p] = prefix[q] = 1
+    return where, tuple(prefix)
+
+
+def _outer(n: int, a: int, b: int) -> tuple:
+    """The blueprint of the outer subword of a split set whose first split
+    is a and whose last is b (0-based pair indices)."""
+    where = (*range(2 * a), 2 * a, 2 * b + 1, *range(2 * b + 2, 2 * n))
+    return _blueprint(n, where, 2 * a, 2 * b + 1)
+
+
+def _inner(n: int, a: int, b: int) -> tuple:
+    """The blueprint of the inner subword between consecutive splits a < b."""
+    return _blueprint(n, tuple(range(2 * a + 1, 2 * b + 1)), 2 * a + 1, 2 * b)
+
+
 def _split_factors(n: int):
-    """Factor blueprints for every term of the recursion at n >= 2.
+    """Factor blueprints for every term of the recursion at n >= 2, one
+    split set at a time.  Only f_rational, whose output shows this term
+    order, and the tests' oracles walk them; f_series groups the same sum by
+    first and last split (_packed_rhs).
 
     Yields, per term, a tuple of (where, prefix) blueprints, one per lower-
     order F.  ``where`` holds the registry positions that the F's variables
@@ -55,22 +87,9 @@ def _split_factors(n: int):
     geometric pole cancel.  Every factor is thus placed by one rename and
     one shift.
     """
-
-    def blueprint(where: tuple, p: int, q: int) -> tuple:
-        prefix = [0] * (2 * n)
-        if len(where) > 2:  # the one place a single pair is told apart
-            prefix[p] = prefix[q] = 1
-        return where, tuple(prefix)
-
     for r in range(2, n + 1):
         for js in combinations(range(n), r):
-            j0, jr = js[0], js[-1]
-            outer = (*range(2 * j0), 2 * j0, 2 * jr + 1, *range(2 * jr + 2, 2 * n))
-            yield (
-                blueprint(outer, 2 * j0, 2 * jr + 1),
-                *(blueprint(tuple(range(2 * a + 1, 2 * b + 1)), 2 * a + 1, 2 * b)
-                  for a, b in zip(js, js[1:])),
-            )
+            yield (_outer(n, js[0], js[-1]), *(_inner(n, a, b) for a, b in zip(js, js[1:])))
 
 
 @lru_cache(maxsize=None)
@@ -81,8 +100,12 @@ def f_series(n: int, D: int) -> Series:
     Runs on packed exponents (the fps kernel).  The lower orders F_1 ..
     F_(n-1) are built packed, in a memo that lives for this one call, and
     each order is its recursion's right-hand side divided by 1 - (identity
-    form) slice by slice in degree.  The tests check it against the direct
-    route, multiplication by ``geometric(identity form, D)``.
+    form) slice by slice in degree.  The right-hand side is grouped by first
+    and last split in a chain table (_packed_rhs): C(n,3) + C(n,2) graded
+    products, each lower-order factor placed once per order and only with
+    the terms that its prefix shift keeps.  The tests check it against the
+    direct route, which sums over every split set and multiplies by
+    ``geometric(identity form, D)``.
     """
     if n < 1:
         raise ValueError("need at least one variable pair")
@@ -103,25 +126,46 @@ def _packed_f(n: int, D: int, memo: dict) -> dict:
 
 
 def _packed_rhs(n: int, D: int, memo: dict) -> dict:
+    """The recursion's right-hand side, grouped by first and last split.
+
+    ⊙ is bilinear, associative and commutative, so the sum over split sets
+    is the sum over a < b of outer(a, b) ⊙ Chain(a, b), where Chain(a, b) =
+    inner(a, b) + the sum over a < c < b of Chain(a, c) ⊙ inner(c, b) sums
+    every chain of inner subwords from a to b.  Each inner factor is placed
+    once, each outer factor only where its chain is nonzero, and the sum
+    takes C(n, 3) + C(n, 2) ⊙ products.
+    """
     packings = {m: _Packing(2 * m, D) for m in range(1, n + 1)}  # F_m's layout
     mask, modulus = packings[n].mask, _registry(n).modulus
+
+    def place(blueprint) -> dict:
+        return _packed_factor(*blueprint, packings, D, memo)
+
+    inner = {(a, b): place(_inner(n, a, b)) for a in range(n) for b in range(a + 1, n)}
     total: dict = {}
-    for factors in _split_factors(n):
-        part = None
-        for where, prefix in factors:
-            factor = _packed_factor(where, prefix, packings, D, memo)
-            part = factor if part is None else _podot(part, factor, mask, D, modulus)
-        _padd_into(total, part)
-        del part  # free this part before the next one is built: it sets the peak memory
+    for a in range(n):
+        chain = {}  # b -> Chain(a, b), for this first split a
+        for b in range(a + 1, n):
+            acc = dict(inner[a, b])
+            for c in range(a + 1, b):
+                if chain[c] and inner[c, b]:
+                    _padd_into(acc, _podot(chain[c], inner[c, b], mask, D, modulus))
+            chain[b] = acc
+            if acc:
+                _padd_into(total, _podot(place(_outer(n, a, b)), acc, mask, D, modulus))
     return total
 
 
 def _packed_factor(where, prefix, packings, D: int, memo: dict) -> dict:
-    if sum(prefix) > D:  # nothing survives the shift; the prefix would not fit the layout
+    room = D - sum(prefix)
+    if room < 0:  # nothing survives the shift; the prefix would not fit the layout
         return {}
     packing = packings[len(prefix) // 2]  # the prefix spans the target registry
     m = len(where) // 2
-    inner = _premap(_packed_f(m, D, memo), packings[m], packing, where)
+    terms, mask = _packed_f(m, D, memo), packings[m].mask
+    if room < D:  # drop what the shift would push past D before moving it: most of F_m
+        terms = {e: c for e, c in terms.items() if e & mask <= room}
+    inner = _premap(terms, packings[m], packing, where)
     return _pshift(inner, packing.mono(prefix), packing.mask, D)
 
 

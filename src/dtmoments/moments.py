@@ -91,19 +91,27 @@ def nom(ls, js) -> int:
 def dihedral_min(key) -> tuple:
     """Lexicographic minimum over all rotations of the key and of its
     reversal.  Rotating the flat tuple by one entry swaps the T*/T roles;
-    both operations preserve the moment value.  Only rotations that start
-    at a minimum entry are formed."""
+    both operations preserve the moment value.
+
+    Only readings that start at a minimum entry can win.  For each position
+    p of one, in kk = key + key, the rotation is kk[p:p+n] and the reversal
+    read backwards from there is kk[p+n:p:-1] (key[p], key[p-1], ...,
+    wrapping round to key[p+1]); a running minimum keeps the least."""
     key = tuple(key)
     n = len(key)
     if not n:
         raise ValueError("dihedral_min needs a nonempty key, got ()")
     lo = min(key)
     kk = key + key
-    rr = kk[::-1]
-    return min(
-        [kk[s : s + n] for s in range(n) if kk[s] == lo]
-        + [rr[s : s + n] for s in range(n) if rr[s] == lo]
-    )
+    best = key  # rotation 0 is a reading too
+    p = -1
+    for _ in range(key.count(lo)):
+        p = key.index(lo, p + 1)
+        if kk[p : p + n] < best:
+            best = kk[p : p + n]
+        if kk[p + n : p : -1] < best:
+            best = kk[p + n : p : -1]
+    return best
 
 
 def _contract(key: tuple) -> tuple:

@@ -369,9 +369,12 @@ def f_series_by_geometric(n: int, D: int) -> Series:
     """F_n truncated at D by the recursion on tuple-keyed Series: each
     lower-order factor is renamed into place and shifted by its prefix, the
     factors of a term are multiplied by odot_many, and the summed right-hand
-    side is multiplied by geometric(identity form, D).  It shares only the
-    split blueprints (genfun._split_factors) with the package; the moment
-    recursion checks those independently."""
+    side is multiplied by geometric(identity form, D).  It shares no
+    arithmetic with f_series, which groups the split sum by first and last
+    split in a chain table: only the subword blueprints (genfun._outer and
+    genfun._inner), which the moment recursion checks independently.  The
+    walk over split sets (genfun._split_factors) it shares only with
+    f_rational."""
     registry = VariableRegistry.zw_pairs(n)
     if n == 1:
         return geometric(Series(registry, 2, {(1, 1): 1}), D)

@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from dtmoments import genfun
 from dtmoments.fps import Series, VariableRegistry, geometric
 from dtmoments.genfun import (
     _split_factors,
@@ -126,10 +127,27 @@ def test_geometric_inverts_one_minus_the_form():
     "n, D",
     [(1, D) for D in (0, 1, 2, 15, 16, 31, 32)]
     + [(2, D) for D in (0, 1, 2, 15, 16, 31, 32)]
-    + [(3, 0), (3, 1), (3, 6), (3, 7), (3, 10), (3, 14), (4, 6), (4, 8), (4, 10), (5, 6), (5, 8)],
+    + [(3, 0), (3, 1), (3, 6), (3, 7), (3, 10), (3, 14), (4, 6), (4, 8), (4, 10), (5, 6), (5, 8)]
+    + [(6, 4), (6, 6), (7, 4)],
 )
 def test_f_series_equals_the_geometric_route(n, D):
     assert f_series(n, D) == f_series_by_geometric(n, D)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_f_series_places_each_blueprint_once_per_order(n, monkeypatch):
+    # m(m - 1) blueprints per order m = 2..n: C(m, 2) inner and C(m, 2) outer
+    calls = []
+    place = genfun._packed_factor
+
+    def counted(*args):
+        calls.append(args[:2])
+        return place(*args)
+
+    monkeypatch.setattr(genfun, "_packed_factor", counted)
+    genfun._packed_f(n, 6, {})
+    assert len(calls) <= (n - 1) * n * (n + 1) // 3
+    assert len(set(calls)) == len(calls)  # (where, prefix) names the order by its length
 
 
 @pytest.mark.parametrize("n", range(2, 8))
