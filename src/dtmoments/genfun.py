@@ -131,9 +131,8 @@ def _packed_rhs(n: int, D: int, memo: dict) -> dict:
     ⊙ is bilinear, associative and commutative, so the sum over split sets
     is the sum over a < b of outer(a, b) ⊙ Chain(a, b), where Chain(a, b) =
     inner(a, b) + the sum over a < c < b of Chain(a, c) ⊙ inner(c, b) sums
-    every chain of inner subwords from a to b.  Each inner factor is placed
-    once, each outer factor only where its chain is nonzero, and the sum
-    takes C(n, 3) + C(n, 2) ⊙ products.
+    every chain of inner subwords from a to b.  Each inner and outer factor
+    is placed once, and the sum takes C(n, 3) + C(n, 2) ⊙ products.
     """
     packings = {m: _Packing(2 * m, D) for m in range(1, n + 1)}  # F_m's layout
     mask, modulus = packings[n].mask, _registry(n).modulus
@@ -148,11 +147,9 @@ def _packed_rhs(n: int, D: int, memo: dict) -> dict:
         for b in range(a + 1, n):
             acc = dict(inner[a, b])
             for c in range(a + 1, b):
-                if chain[c] and inner[c, b]:
-                    _padd_into(acc, _podot(chain[c], inner[c, b], mask, D, modulus))
+                _padd_into(acc, _podot(chain[c], inner[c, b], mask, D, modulus))
             chain[b] = acc
-            if acc:
-                _padd_into(total, _podot(place(_outer(n, a, b)), acc, mask, D, modulus))
+            _padd_into(total, _podot(place(_outer(n, a, b)), acc, mask, D, modulus))
     return total
 
 
@@ -162,9 +159,9 @@ def _packed_factor(where, prefix, packings, D: int, memo: dict) -> dict:
         return {}
     packing = packings[len(prefix) // 2]  # the prefix spans the target registry
     m = len(where) // 2
-    terms, mask = _packed_f(m, D, memo), packings[m].mask
-    if room < D:  # drop what the shift would push past D before moving it: most of F_m
-        terms = {e: c for e, c in terms.items() if e & mask <= room}
+    mask = packings[m].mask
+    # drop what the shift would push past D before moving it: most of F_m
+    terms = {e: c for e, c in _packed_f(m, D, memo).items() if e & mask <= room}
     inner = _premap(terms, packings[m], packing, where)
     return _pshift(inner, packing.mono(prefix), packing.mask, D)
 

@@ -146,7 +146,7 @@ def test_f_series_places_each_blueprint_once_per_order(n, monkeypatch):
 
     monkeypatch.setattr(genfun, "_packed_factor", counted)
     genfun._packed_f(n, 6, {})
-    assert len(calls) <= (n - 1) * n * (n + 1) // 3
+    assert len(calls) == (n - 1) * n * (n + 1) // 3
     assert len(set(calls)) == len(calls)  # (where, prefix) names the order by its length
 
 
