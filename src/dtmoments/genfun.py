@@ -16,12 +16,15 @@ recursion does: a term is an outer subword, fixed by its first and last
 split, times the inner subwords between consecutive splits, so a chain
 table per first split adds the inner factors one at a time.  That takes
 C(n,3) + C(n,2) graded products (56 at n = 7) against one per factor pair
-of every split set (321), and places each blueprint once per order.  The
-closed form walks the split sets one by one, in the term order it shows.
+of every split set (321), and places each blueprint once per order.  One
+call packs every order in one layout, _Packing(2n, D): each field has the
+width of D, the degree in the lowest, so F_m on the first 2m variables is
+the same dict of ints there as in its own layout.  The closed form walks
+the split sets one by one, in the term order it shows.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .fps import (
     Series,
@@ -98,8 +101,9 @@ def f_series(n: int, D: int) -> Series:
     total degree D.  Every coefficient equals the n_value of its key.
 
     Runs on packed exponents (the fps kernel).  The lower orders F_1 ..
-    F_(n-1) are built packed, in a memo that lives for this one call, and
-    each order is its recursion's right-hand side divided by 1 - (identity
+    F_(n-1) are built in this call's one layout, _Packing(2n, D), which is
+    exact (see _packed_f), in a memo that lives for this one call, and each
+    order is its recursion's right-hand side divided by 1 - (identity
     form) slice by slice in degree.  The right-hand side is grouped by first
     and last split in a chain table (_packed_rhs): C(n,3) + C(n,2) graded
     products, each lower-order factor placed once per order and only with
@@ -111,21 +115,23 @@ def f_series(n: int, D: int) -> Series:
         raise ValueError("need at least one variable pair")
     if D < 0:
         raise ValueError("degree bound must be >= 0")
-    terms = _packed_f(n, D, {})
-    return Series._make(_registry(n), D, _Packing(2 * n, D).unpack(terms))
+    packing = _Packing(2 * n, D)
+    return Series._make(_registry(n), D, packing.unpack(_packed_f(n, D, packing, {})))
 
 
-def _packed_f(n: int, D: int, memo: dict) -> dict:
-    """F_n packed in the _Packing(2n, D) layout; lower orders go to ``memo``."""
+def _packed_f(n: int, D: int, packing: _Packing, memo: dict) -> dict:
+    """F_n packed in ``packing``, a layout for degree D on at least 2n
+    variables; lower orders go to ``memo``.  Every such layout has fields of
+    the width of D, the degree in the lowest, so F_n is the same dict of ints
+    in each of them."""
     if n not in memo:
-        packing = _Packing(2 * n, D)
-        rhs = {0: 1} if n == 1 else _packed_rhs(n, D, memo)
+        rhs = {0: 1} if n == 1 else _packed_rhs(n, D, packing, memo)
         form = identity_form(_registry(n))
         memo[n] = _pdiv_one_minus(rhs, packing.pack(form.terms, D), packing.mask, D)
     return memo[n]
 
 
-def _packed_rhs(n: int, D: int, memo: dict) -> dict:
+def _packed_rhs(n: int, D: int, packing: _Packing, memo: dict) -> dict:
     """The recursion's right-hand side, grouped by first and last split.
 
     ⊙ is bilinear, associative and commutative, so the sum over split sets
@@ -134,11 +140,10 @@ def _packed_rhs(n: int, D: int, memo: dict) -> dict:
     every chain of inner subwords from a to b.  Each inner and outer factor
     is placed once, and the sum takes C(n, 3) + C(n, 2) ⊙ products.
     """
-    packings = {m: _Packing(2 * m, D) for m in range(1, n + 1)}  # F_m's layout
-    mask, modulus = packings[n].mask, _registry(n).modulus
+    mask, modulus = packing.mask, _registry(n).modulus
 
     def place(blueprint) -> dict:
-        return _packed_factor(*blueprint, packings, D, memo)
+        return _packed_factor(*blueprint, packing, D, memo)
 
     inner = {(a, b): place(_inner(n, a, b)) for a in range(n) for b in range(a + 1, n)}
     total: dict = {}
@@ -153,17 +158,15 @@ def _packed_rhs(n: int, D: int, memo: dict) -> dict:
     return total
 
 
-def _packed_factor(where, prefix, packings, D: int, memo: dict) -> dict:
+def _packed_factor(where, prefix, packing: _Packing, D: int, memo: dict) -> dict:
     room = D - sum(prefix)
     if room < 0:  # nothing survives the shift; the prefix would not fit the layout
         return {}
-    packing = packings[len(prefix) // 2]  # the prefix spans the target registry
-    m = len(where) // 2
-    mask = packings[m].mask
+    mask = packing.mask
     # drop what the shift would push past D before moving it: most of F_m
-    terms = {e: c for e, c in _packed_f(m, D, memo).items() if e & mask <= room}
-    inner = _premap(terms, packings[m], packing, where)
-    return _pshift(inner, packing.mono(prefix), packing.mask, D)
+    f = _packed_f(len(where) // 2, D, packing, memo)
+    terms = {e: c for e, c in f.items() if e & mask <= room}
+    return _pshift(_premap(terms, packing, packing, where), packing.mono(prefix), mask, D)
 
 
 def _rational_factor(registry, where, prefix) -> RationalExpr:
@@ -218,17 +221,16 @@ def g_diagonal(n: int, D: int) -> dict:
     """Coefficients of the diagonal generating function in x1..xn, read off
     f_series at the exponents with ki = li, up to total z/w-degree D: a
     dict {(k1, ..., kn): N(k1,k1,...,kn,kn)} over every multi-index with
-    2(k1 + ... + kn) <= D."""
-    fs = f_series(n, D)
+    2(k1 + ... + kn) <= D.
+
+    The multi-indices are listed directly, in lexicographic order: each
+    sorted n-subset c of range(D // 2 + n) is one, with ki = ci - c(i-1) - 1
+    (and c0 = -1), so none outside the bound is visited."""
+    fs = f_series(n, D).terms
     out = {}
-    for ks in product(range(D // 2 + 1), repeat=n):
-        if 2 * sum(ks) > D:
-            continue
-        exps = []
-        for k in ks:
-            exps.append(k)
-            exps.append(k)
-        out[ks] = fs.terms.get(tuple(exps), 0)
+    for c in combinations(range(D // 2 + n), n):
+        ks = tuple([b - a - 1 for a, b in zip((-1, *c), c)])
+        out[ks] = fs.get(tuple([k for k in ks for _ in (0, 1)]), 0)
     return out
 
 

@@ -680,13 +680,9 @@ class RationalExpr(_Value):
                     mono = _pmul_trunc(mono, f, mask, budget)
                 _padd_into(part, mono, c)
             for fid in (Counter(t.denominator) - shared).elements():
-                if not part:
-                    break
                 part = _pdiv_one_minus(part, forms[fid], mask, budget)
             _padd_into(acc, _pshift(part, packing.mono(t.prefix), mask, trunc))
         for fid in shared.elements():
-            if not acc:
-                break
             acc = _pdiv_one_minus(acc, forms[fid], mask, trunc)
         return Series._make(self.registry, trunc, packing.unpack(acc))
 

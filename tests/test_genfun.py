@@ -6,7 +6,7 @@ from itertools import permutations, product
 import pytest
 
 from dtmoments import genfun
-from dtmoments.fps import Series, VariableRegistry, geometric
+from dtmoments.fps import Series, VariableRegistry, _Packing, geometric
 from dtmoments.genfun import (
     _split_factors,
     check_conjecture,
@@ -145,9 +145,17 @@ def test_f_series_places_each_blueprint_once_per_order(n, monkeypatch):
         return place(*args)
 
     monkeypatch.setattr(genfun, "_packed_factor", counted)
-    genfun._packed_f(n, 6, {})
+    genfun._packed_f(n, 6, _Packing(2 * n, 6), {})
     assert len(calls) == (n - 1) * n * (n + 1) // 3
     assert len(set(calls)) == len(calls)  # (where, prefix) names the order by its length
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_lower_orders_are_the_same_in_every_layout(n):
+    # f_series packs every lower order F_m in the layout of F_n
+    for m in range(1, n):
+        own = genfun._packed_f(m, 6, _Packing(2 * m, 6), {})
+        assert own and own == genfun._packed_f(m, 6, _Packing(2 * n, 6), {}), m
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -377,6 +385,22 @@ def test_g_diagonal_two_pairs_matches_formula():
 def test_g_diagonal_one_pair_is_all_ones():
     diag = g_diagonal(1, 12)
     assert all(v == 1 for v in diag.values())
+
+
+def g_diagonal_by_filter(n, D):
+    """g_diagonal by walking every multi-index of entries <= D/2 and keeping
+    those with 2(k1 + ... + kn) <= D."""
+    terms = f_series(n, D).terms
+    return [
+        (ks, terms.get(tuple(k for k in ks for _ in (0, 1)), 0))
+        for ks in product(range(D // 2 + 1), repeat=n)
+        if 2 * sum(ks) <= D
+    ]
+
+
+@pytest.mark.parametrize("n, D", [(1, 12), (2, 10), (3, 9), (4, 8), (6, 8)])
+def test_g_diagonal_lists_the_filtered_walk_in_its_order(n, D):
+    assert list(g_diagonal(n, D).items()) == g_diagonal_by_filter(n, D)
 
 
 def test_h_diagonal():

@@ -698,8 +698,16 @@ def test_expand_divides_once_by_a_shared_form_as_the_geometric_route_does():
     expr = expr + RationalExpr.single(
         ZW2, (2, 0, 1, 1), SymPoly((fw,), {(0,): -1, (1,): 4}), [u, w, u, v]
     )
-    for D in range(0, 10):
-        assert expr.expand(D) == expand_by_geometric(expr, D), D
+    # below D = 6 each part of `emptied` is truncated away before its
+    # divisions (numerators of degree 4, prefixes of degree 2), and u, in
+    # both denominators, then divides an empty sum
+    uw = SymPoly(tuple(sorted((fu, fw))), {(1, 1): 1})
+    uv = SymPoly(tuple(sorted((fu, form_id(v)))), {(1, 1): 1})
+    emptied = RationalExpr.single(ZW2, (1, 0, 0, 1), uw, [u, w])
+    emptied = emptied + RationalExpr.single(ZW2, (0, 1, 1, 0), uv, [u, v])
+    for e in (expr, emptied):
+        for D in range(0, 10):
+            assert e.expand(D) == expand_by_geometric(e, D), D
 
 
 def test_expand_without_a_shared_form_equals_the_geometric_route():
