@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
 from operator import add, or_
 
 from .fps import (
@@ -20,6 +21,7 @@ from .fps import (
     VariableRegistry,
     _clean_terms,
     _in_order,
+    _json_int,
     _json_terms,
     _Packing,
     _padd_into,
@@ -245,17 +247,66 @@ def _p_packing(m: int, n: int) -> _Packing:
 
 
 @lru_cache(maxsize=None)
-def _row_product(m: int, n: int) -> dict:
-    """prod of (1 - u_i - v_j) over all cells outside row 0, packed in
-    _p_packing(m, n)."""
+def _row_orbits(m: int, n: int) -> dict:
+    """The terms of prod of (1 - u_i - v_j) over all cells outside row 0
+    whose v exponents do not increase, packed in _p_packing(m, n): one
+    term per orbit of the v permutations, which fix the product.
+
+    The product is prod_j h(v_j) with h(y) = prod_{i>=1}(1 - u_i - y)
+    = sum_r a_r(u) y^r, so the coefficient of v^lam is prod_j a_{lam_j}:
+    one small product of the a_r per non-increasing lam, C(n+m-1, n) in
+    all.  No term is dropped: the product's degree is (m-1)n.
+    """
     packing = _p_packing(m, n)
-    limit = (m - 1) * n  # the product's degree: no term is dropped
-    prod = {0: 1}
+    mask = packing.mask
+    limit = (m - 1) * n
+    a = [{0: 1}]  # a[r]: the coefficient of y^r in h(y), so far
     for i in range(1, m):
-        for j in range(n):
-            cell = {0: 1, _power(packing, i): -1, _power(packing, m + j): -1}
-            prod = _pmul_trunc(cell, prod, packing.mask, limit)
-    return prod
+        u_i = _power(packing, i)
+        a.append({})
+        for r in range(len(a) - 1, -1, -1):
+            # a[r] <- a[r] (1 - u_i) - a[r-1]
+            _padd_into(a[r], _pshift(a[r], u_i, mask, limit), -1)
+            if r:
+                _padd_into(a[r], a[r - 1], -1)
+    out = {}
+    for lam in combinations_with_replacement(range(m - 1, -1, -1), n):
+        shift = packing.mono((0,) * m + lam)
+        coeff = reduce(lambda p, r: _pmul_trunc(p, a[r], mask, limit), lam, {0: 1})
+        for e, c in coeff.items():
+            out[e + shift] = c
+    return out
+
+
+def _orbit(v: tuple, orbits: dict) -> list:
+    """The distinct permutations of the non-increasing tuple v in
+    decreasing lexicographic order, the order dict.fromkeys(permutations(v))
+    lists them in, without walking all len(v)! permutations.  ``orbits``
+    holds the ones already built, by v."""
+    orbit = orbits.get(v)
+    if orbit is None:
+        orbit = [] if v else [()]
+        for i, x in enumerate(v):
+            if not i or x != v[i - 1]:  # each distinct value once, largest first
+                orbit.extend([(x,) + w for w in _orbit(v[:i] + v[i + 1 :], orbits)])
+        orbits[v] = orbit
+    return orbit
+
+
+def _spread(window: dict, packing: _Packing, m: int) -> dict:
+    """The v-symmetric polynomial whose terms with non-increasing v
+    exponents are ``window``, unpacked: each term goes to every distinct
+    permutation of its v exponents, in _orbit's order."""
+    mask = packing.mask
+    u_shifts = packing.shifts[:m]
+    v_shifts = packing.shifts[m:]
+    orbits: dict = {}
+    out = {}
+    for e, c in window.items():
+        u = tuple([(e >> s) & mask for s in u_shifts])
+        for w in _orbit(tuple([(e >> s) & mask for s in v_shifts]), orbits):
+            out[u + w] = c
+    return out
 
 
 def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
@@ -297,9 +348,25 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
 
     Only the boundary cells, the row l = n-1 and the column k = 0, run the
     Newton steps; every other cell of the (m, n) grid is one subtraction of
-    two neighbours.  Each cell is built once and cached, so repeated calls
-    return the same object.
+    two neighbours.  Two exact symmetries cut the boundary cells' work:
+
+    - The window is fixed by every permutation of v_1..v_n, and a Newton
+      step touches only the u_0 and u_b exponents, so it commutes with
+      those permutations and never mixes terms of different v exponents.
+      The steps therefore run on the terms whose v exponents do not
+      increase alone, and P is read off by spreading each over the
+      permutations of its v exponents.
+    - The double sum Q and both difference products are unchanged when
+      (u, m, K) and (v, n, L) trade places, so
+      P^{k,l}_{m,n}(u; v) = P^{l,k}_{n,m}(v; u).  For m > n a boundary cell
+      is the mirror of the (n, m) cell, whose n-1 steps run on a row
+      product of fewer factors.
+
+    Each cell is built once and cached, so repeated calls return the same
+    object.  Every argument must be an int (not a bool).
     """
+    for name, x in zip("mnkl", (m, n, k, l)):
+        _json_int(x, name)
     if not (0 <= k <= m - 1 and 0 <= l <= n - 1):
         raise ValueError("need 0 <= k <= m-1 and 0 <= l <= n-1")
     return _p_cell(m, n, k, l)
@@ -307,16 +374,22 @@ def p_polynomial(m: int, n: int, k: int, l: int) -> SymPoly:
 
 @lru_cache(maxsize=None)
 def _p_cell(m: int, n: int, k: int, l: int) -> SymPoly:
-    """p_polynomial without the argument check: a boundary cell by divided
-    differences, an inner one by the cell recurrence."""
+    """p_polynomial without the argument check: an inner cell by the cell
+    recurrence, a boundary cell with m > n as the mirror of the (n, m)
+    cell, and any other boundary cell by divided differences on one term
+    per v-orbit."""
+    symbols = uv_symbols(m, n)
     if k and l < n - 1:
         terms = dict(_p_cell(m, n, k, l + 1).terms)
         _padd_into(terms, _p_cell(m, n, k - 1, l + 1).terms, -1)
-        return SymPoly._make(uv_symbols(m, n), terms)
+        return SymPoly._make(symbols, terms)
+    if m > n:
+        mirror = _p_cell(n, m, l, k).terms
+        return SymPoly._make(symbols, {e[n:] + e[:n]: c for e, c in mirror.items()})
     K = m - k - 1
     L = n - l - 1
     packing = _p_packing(m, n)
-    row = _row_product(m, n)
+    row = _row_orbits(m, n)
     limit = K + L + (m - 1) * n  # the window's degree: no term is dropped
     # window = u_0^K (1 - u_0)^L * row, one shifted copy of row per power of u_0
     window = _pshift(row, _power(packing, 0, K), packing.mask, limit)
@@ -325,7 +398,7 @@ def _p_cell(m: int, n: int, k: int, l: int) -> SymPoly:
         _padd_into(window, _pshift(row, mono, packing.mask, limit), (-1) ** t * math.comb(L, t))
     for b in range(1, m):
         window = _newton_step(window, packing, b)
-    return SymPoly._make(uv_symbols(m, n), packing.unpack(window))
+    return SymPoly._make(symbols, _spread(window, packing, m))
 
 
 # -- concrete degree-N forms and rational expressions -----------------------------------

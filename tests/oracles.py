@@ -10,9 +10,11 @@ pair by term pair on SymPoly products, and the two series pipelines (F_n
 and the expansion of a rational expression) on tuple-keyed Series,
 multiplying by geometric(u, D) where the package divides packed terms by
 1 - u.  One route is narrower: p_by_window builds each P cell by its own
-full divided difference, sharing the row product and the synthetic
-division _div_walk with the package, so it checks the cell recurrence and
-the fused Newton step only.
+full divided difference, in the orientation asked for and on every term of
+the row product (_row_product, one linear factor at a time), sharing only
+the synthetic division _div_walk with the package, so it checks the cell
+recurrence, the fused Newton step, the package's one term per v-orbit and
+its mirror to the orientation with fewer rows.
 Two evaluators specialize to all pairs equal, z_i = z and w_i = w with
 t = zw: the closed form read through its public fields, and the recursion
 run in one variable on the package's split blueprints.
@@ -31,6 +33,7 @@ from dtmoments.fps import (
     VariableRegistry,
     _Packing,
     _padd_into,
+    _pmul_trunc,
     _pshift,
     geometric,
     odot_many,
@@ -46,7 +49,6 @@ from dtmoments.ratfun import (
     _div_walk,
     _p_packing,
     _power,
-    _row_product,
     identity_form,
     p_polynomial,
     uv_symbols,
@@ -160,6 +162,20 @@ def _div_linear(terms: dict, packing: _Packing, main: int, other: int) -> dict:
     for e, c in terms.items():
         buckets[(e >> shift) & mask][e] = c
     return _div_walk(buckets, packing, main, other)
+
+
+@lru_cache(maxsize=None)
+def _row_product(m: int, n: int) -> dict:
+    """prod of (1 - u_i - v_j) over all cells outside row 0, packed in
+    _p_packing(m, n): every term, one linear factor at a time."""
+    packing = _p_packing(m, n)
+    limit = (m - 1) * n  # the product's degree: no term is dropped
+    prod = {0: 1}
+    for i in range(1, m):
+        for j in range(n):
+            cell = {0: 1, _power(packing, i): -1, _power(packing, m + j): -1}
+            prod = _pmul_trunc(cell, prod, packing.mask, limit)
+    return prod
 
 
 def p_by_window(m: int, n: int, k: int, l: int) -> SymPoly:

@@ -68,6 +68,15 @@ def test_ppoly_text_is_byte_exact(capsys):
     assert out == "2 - u1 - u2 - v1 - v2\n"
 
 
+def test_ppoly_json_of_a_mirrored_cell_is_pinned(capsys):
+    # (4, 3) has more rows than columns, and its cell (2, 1) comes from
+    # mirrored (3, 4) cells built on one term per v-orbit
+    code, out, _ = run(capsys, "ppoly", "--m", "4", "--n", "3", "--k", "2", "--l", "1",
+                       "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "a6e7f605e855e0b2"
+
+
 def test_ppoly_out_of_range_is_usage_error(capsys):
     code, _, err = run(capsys, "ppoly", "--m", "2", "--n", "2", "--k", "2", "--l", "0")
     assert code == 2

@@ -2,7 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -24,9 +24,10 @@ from dtmoments.ratfun import (
     SymPoly,
     _newton_step,
     _odot_closed,
+    _orbit,
     _p_cell,
     _p_packing,
-    _row_product,
+    _row_orbits,
     form_id,
     identity_form,
     odot_closed,
@@ -38,6 +39,7 @@ from dtmoments import genfun, ratfun
 from conftest import CLONES, ZW2, ZW3, assert_frozen
 from oracles import (
     _div_linear,
+    _row_product,
     _swapped,
     expand_by_geometric,
     odot_closed_by_products,
@@ -229,6 +231,7 @@ def test_p_kernel_keeps_the_degree_field_exact():
     for m in range(1, 5):
         for n in range(1, 5):
             assert_degree_fields_exact(_row_product(m, n), _p_packing(m, n))
+            assert_degree_fields_exact(_row_orbits(m, n), _p_packing(m, n))
 
 
 def test_newton_step_equals_swap_subtract_divide():
@@ -390,16 +393,69 @@ def test_q_and_p_degree_bounds_small_range():
 
 
 def test_p_swap_symmetry_small_range():
-    # P^{k,l}_{m,n}(u;v) = P^{l,k}_{n,m}(v;u)
-    for m in range(1, 4):
-        for n in range(1, 4):
+    # P^{k,l}_{m,n}(u;v) = P^{l,k}_{n,m}(v;u).  The package builds the
+    # boundary cells with m > n as mirrors of the (n, m) cells, so those
+    # cells are held to p_by_window instead, the full divided difference in
+    # the (m, n) orientation on every term of the row product
+    for m in range(1, 5):
+        for n in range(1, 5):
             for k in range(m):
                 for l in range(n):
                     p = p_polynomial(m, n, k, l)
+                    if m > n:
+                        assert p == p_by_window(m, n, k, l), (m, n, k, l)
+                        continue
                     q = p_polynomial(n, m, l, k)
                     rename = {f"u{i}": f"v{i}" for i in range(1, n + 1)}
                     rename.update({f"v{j}": f"u{j}" for j in range(1, m + 1)})
                     assert p == with_symbols(q, uv_symbols(m, n), rename)
+
+
+def test_row_orbits_are_the_non_increasing_terms_of_the_row_product():
+    # (5, 5) is left out: the oracle's full row there has 1.6 million terms.
+    # The uncached oracle keeps the large rows out of its cache
+    for m in range(1, 6):
+        for n in range(1, 6):
+            if (m, n) == (5, 5):
+                continue
+            packing = _p_packing(m, n)
+            v_shifts = packing.shifts[m:]
+            want = {}
+            for e, c in _row_product.__wrapped__(m, n).items():
+                v = [(e >> s) & packing.mask for s in v_shifts]
+                if v == sorted(v, reverse=True):
+                    want[e] = c
+            assert _row_orbits(m, n) == want, (m, n)
+
+
+def test_orbit_lists_the_distinct_permutations_in_first_seen_order():
+    for size in range(7):
+        for v in combinations_with_replacement(range(3, -1, -1), size):
+            assert _orbit(v, {}) == list(dict.fromkeys(permutations(v))), v
+    # one permutation, not 12! of them
+    assert _orbit((0,) * 12, {}) == [(0,) * 12]
+
+
+def test_newton_steps_run_on_the_fewer_rows_and_one_term_per_v_orbit(monkeypatch):
+    # a cold (4, 3) grid: its boundary cells mirror the (3, 4) cells, whose
+    # steps use b = 1, 2 only and see windows of non-increasing v exponents
+    seen = []
+
+    def step(window, packing, b):
+        assert len(packing.shifts) == 7 and b < 3, (len(packing.shifts), b)
+        for e in window:
+            v = [(e >> s) & packing.mask for s in packing.shifts[3:]]
+            assert v == sorted(v, reverse=True), v
+        seen.append(b)
+        return newton_step(window, packing, b)
+
+    newton_step = ratfun._newton_step
+    monkeypatch.setattr(ratfun, "_newton_step", step)
+    _p_cell.cache_clear()
+    for k in range(4):
+        for l in range(3):
+            assert p_polynomial(4, 3, k, l).terms
+    assert set(seen) == {1, 2}
 
 
 def test_p_cells_equal_the_direct_route():
@@ -422,9 +478,18 @@ def test_p_cells_equal_the_direct_route():
 def test_p_polynomial_returns_one_object_per_cell():
     assert p_polynomial(3, 3, 1, 0) is p_polynomial(3, 3, 1, 0)
     assert p_polynomial(3, 3, 1, 0) is _p_cell(3, 3, 1, 0)
-    for bad in ((2, 2, 2, 0), (2, 2, 0, 2), (2, 2, -1, 0), (2, 2, 0, -1), (0, 1, 0, 0)):
-        with pytest.raises(ValueError):
-            p_polynomial(*bad)
+    bad_args = (
+        (2, 2, 2, 0), (2, 2, 0, 2), (2, 2, -1, 0), (2, 2, 0, -1), (0, 1, 0, 0),
+        (2, 2, 1.0, 0), (2.0, 2, 0, 0), (2, 2, True, 0), (2, 2, 0, False), (2, 2, "1", 0),
+    )
+    # the same answer from a cold cache and once (2, 2, 1, 0) is cached
+    _p_cell.cache_clear()
+    for warm in (False, True):
+        if warm:
+            p_polynomial(2, 2, 1, 0)
+        for bad in bad_args:
+            with pytest.raises(ValueError):
+                p_polynomial(*bad)
 
 # -- concrete forms ------------------------------------------------------------------
 
