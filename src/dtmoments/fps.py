@@ -248,7 +248,7 @@ class VariableRegistry(_Value):
             raise ValueError("variable names must be nonempty and distinct")
         if not all(isinstance(s, str) and s for s in names):
             raise ValueError("variable names must be nonempty strings")
-        if modulus < 1:
+        if _json_int(modulus, "modulus") < 1:
             raise ValueError("modulus must be a positive integer")
         self._fill(names, modulus, {name: i for i, name in enumerate(names)})
 
@@ -299,7 +299,7 @@ class Series(_Value):
     __slots__ = ("registry", "trunc", "terms")
 
     def __init__(self, registry: VariableRegistry, trunc: int, terms=()):
-        if trunc < 0:
+        if _json_int(trunc, "truncation bound") < 0:
             raise ValueError("truncation bound must be >= 0")
         self._fill(registry, trunc, _clean_terms(terms, registry.size, registry.modulus, trunc))
 
@@ -397,7 +397,7 @@ class Series(_Value):
     def with_trunc(self, trunc: int) -> "Series":
         """Re-bound the series.  Raising the bound asserts the caller knows
         the series is an exact polynomial (nothing was ever dropped)."""
-        if trunc < 0:
+        if _json_int(trunc, "truncation bound") < 0:
             raise ValueError("truncation bound must be >= 0")
         out = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
         return Series._make(self.registry, trunc, out)
@@ -780,7 +780,8 @@ class QSeries(_Value):
     __slots__ = ("registry", "trunc", "order", "parts")
 
     def __init__(self, registry: VariableRegistry, trunc: int, order: int, parts):
-        if order < 0:
+        _json_int(trunc, "truncation bound")
+        if _json_int(order, "order") < 0:
             raise ValueError("order must be >= 0")
         clean: dict[int, Series] = {}
         for k, part in dict(parts).items():

@@ -20,7 +20,8 @@ of every split set (321), and places each blueprint once per order.  One
 call packs every order in one layout, _Packing(2n, D): each field has the
 width of D, the degree in the lowest, so F_m on the first 2m variables is
 the same dict of ints there as in its own layout.  The closed form walks
-the split sets one by one, in the term order it shows.
+the split sets one by one, in the term order it shows, over tables of the
+outer and inner factors that place each blueprint once per call.
 """
 
 from functools import lru_cache
@@ -29,6 +30,7 @@ from itertools import combinations
 from .fps import (
     Series,
     VariableRegistry,
+    _json_int,
     _Packing,
     _padd_into,
     _pdiv_one_minus,
@@ -55,8 +57,16 @@ def _registry(n: int) -> VariableRegistry:
 
 
 def _blueprint(n: int, where: tuple, p: int, q: int) -> tuple:
-    """(where, prefix) for a lower-order F placed at the registry positions
-    ``where`` of n pairs, its prefix z/w monomial at positions p and q."""
+    """(where, prefix) for a lower-order F placed on n pairs.
+
+    ``where`` holds the registry positions that the F's variables go to, in
+    its own order z1, w1, z2, w2, ...; z_i sits at 2i - 2 and w_i at 2i - 1,
+    as in VariableRegistry.zw_pairs.  ``prefix`` is the exponent tuple of
+    the two-variable monomial in front, at positions p and q.  A single-pair
+    factor is F_1 placed on its pair with the zero prefix: there the prefix
+    and the geometric pole cancel.  Every factor is thus placed by one
+    rename and one shift.
+    """
     prefix = [0] * (2 * n)
     if len(where) > 2:  # the one place a single pair is told apart
         prefix[p] = prefix[q] = 1
@@ -75,27 +85,7 @@ def _inner(n: int, a: int, b: int) -> tuple:
     return _blueprint(n, tuple(range(2 * a + 1, 2 * b + 1)), 2 * a + 1, 2 * b)
 
 
-def _split_factors(n: int):
-    """Factor blueprints for every term of the recursion at n >= 2, one
-    split set at a time.  Only f_rational, whose output shows this term
-    order, and the tests' oracles walk them; f_series groups the same sum by
-    first and last split (_packed_rhs).
-
-    Yields, per term, a tuple of (where, prefix) blueprints, one per lower-
-    order F.  ``where`` holds the registry positions that the F's variables
-    go to, in its own order z1, w1, z2, w2, ...; z_i sits at 2i - 2 and w_i
-    at 2i - 1, as in VariableRegistry.zw_pairs.  ``prefix`` is the exponent
-    tuple of the two-variable monomial in front.  A single-pair factor is F_1
-    placed on its pair with the zero prefix: there the prefix and the
-    geometric pole cancel.  Every factor is thus placed by one rename and
-    one shift.
-    """
-    for r in range(2, n + 1):
-        for js in combinations(range(n), r):
-            yield (_outer(n, js[0], js[-1]), *(_inner(n, a, b) for a, b in zip(js, js[1:])))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def f_series(n: int, D: int) -> Series:
     """The moment generating function on n variable pairs, truncated at
     total degree D.  Every coefficient equals the n_value of its key.
@@ -109,11 +99,11 @@ def f_series(n: int, D: int) -> Series:
     products, each lower-order factor placed once per order and only with
     the terms that its prefix shift keeps.  The tests check it against the
     direct route, which sums over every split set and multiplies by
-    ``geometric(identity form, D)``.
+    ``geometric(identity form, D)``.  n and D must be ints, not bools.
     """
-    if n < 1:
+    if _json_int(n, "n") < 1:
         raise ValueError("need at least one variable pair")
-    if D < 0:
+    if _json_int(D, "D") < 0:
         raise ValueError("degree bound must be >= 0")
     packing = _Packing(2 * n, D)
     return Series._make(_registry(n), D, packing.unpack(_packed_f(n, D, packing, {})))
@@ -175,10 +165,14 @@ def _rational_factor(registry, where, prefix) -> RationalExpr:
     return inner.substitute(registry, mapping).scale_prefix(prefix)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def f_rational(n: int) -> RationalExpr:
     """The same generating function as a closed rational expression: a sum
     of monomial-prefixed fractions over products of (1 - permutation form).
+
+    The split sets are walked in the output's term order (r = 2..n splits,
+    each r-subset in lexicographic order) over two tables that place every
+    outer and inner factor once per call: n(n - 1) placements in all.
 
     Each term's numerator stays packed from the closed product to the
     renderer (see ratfun.RationalTerm).  A call keeps one memo for its
@@ -196,20 +190,23 @@ def f_rational(n: int) -> RationalExpr:
     May raise DistinctnessViolation if some graded product hits colliding
     denominator sums (not observed for n <= 7); series mode is unaffected.
     """
-    if n < 1:
+    if _json_int(n, "n") < 1:
         raise ValueError("need at least one variable pair")
     registry = _registry(n)
     if n == 1:
         return RationalExpr.geometric_term(registry, identity_form(registry))
     memo = _ProductMemo()
+    pairs = list(combinations(range(n), 2))
+    outer = {(a, b): _rational_factor(registry, *_outer(n, a, b)) for a, b in pairs}
+    inner = {(a, b): _rational_factor(registry, *_inner(n, a, b)) for a, b in pairs}
 
     def split_terms():
-        for factors in _split_factors(n):
-            term = None
-            for where, prefix in factors:
-                factor = _rational_factor(registry, where, prefix)
-                term = factor if term is None else _odot_closed(term, factor, memo)
-            yield term
+        for r in range(2, n + 1):
+            for js in combinations(range(n), r):
+                term = outer[js[0], js[-1]]
+                for a, b in zip(js, js[1:]):
+                    term = _odot_closed(term, inner[a, b], memo)
+                yield term
 
     return RationalExpr._sum(split_terms()).with_denominator(identity_form(registry))
 
@@ -237,7 +234,7 @@ def g_diagonal(n: int, D: int) -> dict:
 def h_diagonal(n: int, K: int) -> list:
     """The fully diagonal coefficients as a list [N(k,k,...,k) for k in
     0..K], computed through the moment recursion so large k stays cheap."""
-    if n < 1 or K < 0:
+    if _json_int(n, "n") < 1 or _json_int(K, "K") < 0:
         raise ValueError("need n >= 1 and K >= 0")
     return [n_value((k,) * (2 * n)) for k in range(K + 1)]
 
@@ -275,7 +272,7 @@ def check_conjecture(n: int, K: int) -> dict:
 def check_n3_identity(p: int) -> bool:
     """The multinomial identity equivalent to the n = 3 conjecture at
     order p: 3^(3p) against a double family of multinomial products."""
-    if p < 1:
+    if _json_int(p, "p") < 1:
         raise ValueError("the identity is stated for p >= 1")
     rhs = 0
     for j in range(p + 1):

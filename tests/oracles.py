@@ -17,7 +17,9 @@ recurrence, the fused Newton step, the package's one term per v-orbit and
 its mirror to the orientation with fewer rows.
 Two evaluators specialize to all pairs equal, z_i = z and w_i = w with
 t = zw: the closed form read through its public fields, and the recursion
-run in one variable on the package's split blueprints.
+run in one variable on the package's subword blueprints.  The two that sum
+over every split set walk them here (split_factors), so they share no walk
+with f_rational, which reads its own tables of placed factors.
 It also holds the helpers that only the tests need: the homogeneous slices
 of a Series, a SymPoly re-expressed over other symbols, the packed
 exponent swap and the exact division by a difference x_a - x_b.
@@ -38,7 +40,7 @@ from dtmoments.fps import (
     geometric,
     odot_many,
 )
-from dtmoments.genfun import _split_factors
+from dtmoments.genfun import _inner, _outer
 from dtmoments.moments import nom
 from dtmoments.ratfun import (
     DistinctnessViolation,
@@ -371,6 +373,15 @@ def odot_closed_by_products(e1, e2):
 # -- the series pipelines by geometric series ------------------------------------------
 
 
+def split_factors(n: int):
+    """Per split set of the recursion at n >= 2 (r = 2..n splits, each
+    r-subset in lexicographic order), the (where, prefix) blueprints of its
+    outer subword and of its inner subwords from left to right."""
+    for r in range(2, n + 1):
+        for js in combinations(range(n), r):
+            yield (_outer(n, js[0], js[-1]), *(_inner(n, a, b) for a, b in zip(js, js[1:])))
+
+
 def _accumulate(acc: dict, terms: dict, c=1) -> None:
     for e, v in terms.items():
         v = acc.get(e, 0) + v * c
@@ -388,14 +399,14 @@ def f_series_by_geometric(n: int, D: int) -> Series:
     side is multiplied by geometric(identity form, D).  It shares no
     arithmetic with f_series, which groups the split sum by first and last
     split in a chain table: only the subword blueprints (genfun._outer and
-    genfun._inner), which the moment recursion checks independently.  The
-    walk over split sets (genfun._split_factors) it shares only with
-    f_rational."""
+    genfun._inner), which the moment recursion checks independently.  It
+    walks the split sets itself (split_factors), so it shares no walk with
+    f_rational either."""
     registry = VariableRegistry.zw_pairs(n)
     if n == 1:
         return geometric(Series(registry, 2, {(1, 1): 1}), D)
     total: dict = {}
-    for factors in _split_factors(n):
+    for factors in split_factors(n):
         series = []
         for where, prefix in factors:
             inner = f_series_by_geometric(len(where) // 2, D)
@@ -493,7 +504,7 @@ def closed_form_at_equal_pairs(expr) -> tuple:
 def series_at_equal_pairs(n: int, M: int) -> dict:
     """{k: G_k} for k = 1..n, where G_k is F_k under z_i = z, w_i = w, as
     its coefficients in t = zw up to t^M.  It runs the recursion specialized
-    to one variable: (1 - k*t) G_k is the sum over genfun._split_factors(k)
+    to one variable: (1 - k*t) G_k is the sum over split_factors(k)
     of the graded products of the placed factors, where a factor on j pairs
     with a prefix of level p becomes t^p G_j, and the graded product
     weights levels (i, l) by C(i + l, i).  Placed factors, and products of
@@ -518,7 +529,7 @@ def series_at_equal_pairs(n: int, M: int) -> dict:
 
     for order in range(1, n + 1):
         rhs = [int(order == 1)] + [0] * M  # (1 - t) G_1 = 1; no split at order 1
-        for factors in _split_factors(order):
+        for factors in split_factors(order):
             key = tuple(sorted((len(w) // 2, sum(p) // 2) for w, p in factors))
             for m, x in enumerate(product_of(key)):
                 rhs[m] += x

@@ -78,6 +78,8 @@ TEST_ONLY = (
     "_div_linear",
     "closed_form_at_equal_pairs",
     "series_at_equal_pairs",
+    "split_factors",
+    "_split_factors",
 )
 
 

@@ -53,6 +53,9 @@ def test_registry_rejects_bad_input():
         VariableRegistry(("x", "x"))
     with pytest.raises(ValueError):
         VariableRegistry(("x",), modulus=0)
+    for modulus in (1.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            VariableRegistry(("x",), modulus)
     with pytest.raises(ValueError):
         VariableRegistry.zw_pairs(0)
 
@@ -166,6 +169,17 @@ def test_outside_bounds_are_checked():
         Series.one(ZW1, 4).with_trunc(-1)
     with pytest.raises(ValueError, match="order"):
         QSeries(ZW1, 4, -1, {})
+    # a bound that is not an int would be written as "# D: 2.5", which
+    # from_text and from_json_dict refuse to read back
+    for bad in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="truncation bound must be an integer"):
+            Series(ZW1, bad)
+        with pytest.raises(ValueError, match="truncation bound must be an integer"):
+            Series.one(ZW1, 4).with_trunc(bad)
+        with pytest.raises(ValueError, match="truncation bound must be an integer"):
+            QSeries(ZW1, bad, 1, {})
+        with pytest.raises(ValueError, match="order must be an integer"):
+            QSeries(ZW1, 4, bad, {})
 
 
 # -- ring operations -----------------------------------------------------------

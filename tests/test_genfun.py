@@ -8,7 +8,6 @@ import pytest
 from dtmoments import genfun
 from dtmoments.fps import Series, VariableRegistry, _Packing, geometric
 from dtmoments.genfun import (
-    _split_factors,
     check_conjecture,
     check_n3_identity,
     f_rational,
@@ -29,6 +28,7 @@ from oracles import (
     expand_by_geometric,
     f_series_by_geometric,
     series_at_equal_pairs,
+    split_factors,
 )
 
 
@@ -151,6 +151,25 @@ def test_f_series_places_each_blueprint_once_per_order(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(3, 7))
+def test_f_rational_places_each_blueprint_once(n, monkeypatch):
+    # C(n, 2) inner and C(n, 2) outer blueprints, with the lower orders cached;
+    # placing per split set would take n 2^(n - 1) - n
+    for m in range(1, n):
+        f_rational(m)
+    calls = []
+    place = genfun._rational_factor
+
+    def counted(*args):
+        calls.append(args[1:])
+        return place(*args)
+
+    monkeypatch.setattr(genfun, "_rational_factor", counted)
+    f_rational.__wrapped__(n)
+    assert len(calls) == n * (n - 1)
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
 def test_lower_orders_are_the_same_in_every_layout(n):
     # f_series packs every lower order F_m in the layout of F_n
     for m in range(1, n):
@@ -160,7 +179,7 @@ def test_lower_orders_are_the_same_in_every_layout(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_split_blueprints_are_registry_positions(n):
-    terms = list(_split_factors(n))
+    terms = list(split_factors(n))
     assert len(terms) == 2**n - n - 1
     multi = set()
     for term in terms:
@@ -187,6 +206,34 @@ def test_bounds_are_validated():
         f_series(2, -1)
     with pytest.raises(ValueError):
         f_rational(0)
+
+
+@pytest.mark.parametrize(
+    "door, args",
+    [
+        (f_series, (1, 5)),
+        (f_rational, (1,)),
+        (g_diagonal, (2, 3)),
+        (h_diagonal, (2, 3)),
+        (check_conjecture, (2, 3)),
+        (check_n3_identity, (2,)),
+    ],
+)
+def test_genfun_doors_take_only_ints(door, args):
+    # each argument in turn as a float, a bool and a string, refused both
+    # before and after the int call has run (a bool or a float equal to a
+    # cached int must not reach the cache)
+    bads = [
+        args[:i] + (x,) + args[i + 1 :]
+        for i in range(len(args))
+        for x in (float(args[i]), True, str(args[i]))
+    ]
+    for warm in (False, True):
+        if warm:
+            door(*args)
+        for bad in bads:
+            with pytest.raises(ValueError, match="must be an integer"):
+                door(*bad)
 
 
 # -- rational pipeline ----------------------------------------------------------------
