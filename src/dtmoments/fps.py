@@ -260,8 +260,9 @@ class VariableRegistry(_Value):
 
     @classmethod
     def zw_pairs(cls, n: int) -> "VariableRegistry":
-        """The registry z1, w1, ..., zn, wn with modulus 2."""
-        if n < 1:
+        """The registry z1, w1, ..., zn, wn with modulus 2; n must be an
+        int, not a bool."""
+        if _json_int(n, "n") < 1:
             raise ValueError("need at least one variable pair")
         names: list[str] = []
         for i in range(1, n + 1):
@@ -655,7 +656,12 @@ class _Packing:
 
     def unpack(self, terms: dict, order=None) -> dict:
         """Packed terms as tuples over the variables in ``order`` (all of
-        them, in layout order, by default)."""
+        them, in layout order, by default).  A layout of 8-bit fields in
+        layout order reads each key as its little-endian bytes, the degree
+        byte first."""
+        if order is None and self.width == 8:
+            nbytes = len(self.shifts) + 1
+            return {tuple(e.to_bytes(nbytes, "little")[1:]): c for e, c in terms.items()}
         mask = self.mask
         shifts = self.shifts if order is None else [self.shifts[i] for i in order]
         return {tuple([(e >> s) & mask for s in shifts]): c for e, c in terms.items()}

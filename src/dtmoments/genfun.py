@@ -17,11 +17,12 @@ split, times the inner subwords between consecutive splits, so a chain
 table per first split adds the inner factors one at a time.  That takes
 C(n,3) + C(n,2) graded products (56 at n = 7) against one per factor pair
 of every split set (321), and places each blueprint once per order.  One
-call packs every order in one layout, _Packing(2n, D): each field has the
-width of D, the degree in the lowest, so F_m on the first 2m variables is
-the same dict of ints there as in its own layout.  The closed form walks
-the split sets one by one, in the term order it shows, over tables of the
-outer and inner factors that place each blueprint once per call.
+call packs every order in one layout, _Packing(2n, max(D, 255)): every
+field has one width, a byte up to D = 255, the degree in the lowest, so
+F_m on the first 2m variables is the same dict of ints there as in its own
+layout.  The closed form walks the split sets one by one, in the term
+order it shows, over tables of the outer and inner factors that place
+each blueprint once per call.
 """
 
 from functools import lru_cache
@@ -91,10 +92,12 @@ def f_series(n: int, D: int) -> Series:
     total degree D.  Every coefficient equals the n_value of its key.
 
     Runs on packed exponents (the fps kernel).  The lower orders F_1 ..
-    F_(n-1) are built in this call's one layout, _Packing(2n, D), which is
-    exact (see _packed_f), in a memo that lives for this one call, and each
-    order is its recursion's right-hand side divided by 1 - (identity
-    form) slice by slice in degree.  The right-hand side is grouped by first
+    F_(n-1) are built in this call's one layout, _Packing(2n, max(D, 255)),
+    which is exact (see _packed_f), in a memo that lives for this one call:
+    its fields are a byte wide for D <= 255, so the final unpack reads each
+    key's bytes, and have the width of D above that.  Each order is its
+    recursion's right-hand side divided by 1 - (identity form) slice by
+    slice in degree.  The right-hand side is grouped by first
     and last split in a chain table (_packed_rhs): C(n,3) + C(n,2) graded
     products, each lower-order factor placed once per order and only with
     the terms that its prefix shift keeps.  The tests check it against the
@@ -105,15 +108,15 @@ def f_series(n: int, D: int) -> Series:
         raise ValueError("need at least one variable pair")
     if _json_int(D, "D") < 0:
         raise ValueError("degree bound must be >= 0")
-    packing = _Packing(2 * n, D)
+    packing = _Packing(2 * n, max(D, 255))
     return Series._make(_registry(n), D, packing.unpack(_packed_f(n, D, packing, {})))
 
 
 def _packed_f(n: int, D: int, packing: _Packing, memo: dict) -> dict:
-    """F_n packed in ``packing``, a layout for degree D on at least 2n
-    variables; lower orders go to ``memo``.  Every such layout has fields of
-    the width of D, the degree in the lowest, so F_n is the same dict of ints
-    in each of them."""
+    """F_n packed in ``packing``, a layout for degree at least D on at least
+    2n variables; lower orders go to ``memo``.  Every such layout of one
+    field width has the degree in the lowest field, so F_n is the same dict
+    of ints in each of them."""
     if n not in memo:
         rhs = {0: 1} if n == 1 else _packed_rhs(n, D, packing, memo)
         form = identity_form(_registry(n))

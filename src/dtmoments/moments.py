@@ -114,30 +114,66 @@ def dihedral_min(key) -> tuple:
     return best
 
 
-def _contract(key: tuple) -> tuple:
-    """Contract every zero entry of a valid nonnegative key, until no zero
-    is left or two entries remain."""
-    while len(key) > 2 and 0 in key:
-        s = key.index(0)
-        if s:
-            key = key[s:] + key[:s]
-        # the leading zero goes and its two neighbours merge
-        key = key[2:-1] + (key[-1] + key[1],)
-    return key
+def _contract(key: tuple):
+    """One walk over the (k, l) pairs of a key of even length >= 2.
+
+    Returns (contracted key, k-sum, l-sum), or None at the first entry that
+    is not an exact int >= 0.  The contracted key is the run lengths of the
+    cyclic word (T*)^k1 T^l1 ... (T*)^kn T^ln: a zero entry drops out and
+    its two neighbours, which spell the same letter, merge into one run,
+    and the first run merges with the last where the word wraps round with
+    one letter.  A word with fewer than three runs contracts to the single
+    pair (k-sum, l-sum).  The result agrees with contracting one zero at a
+    time up to rotation and reversal, which is all that dihedral_min sees.
+    """
+    runs = []
+    cur = 0  # the open run, of T* while star; a leading zero run is dropped below
+    star = True
+    ks = ls = 0
+    it = iter(key)
+    for k, l in zip(it, it):
+        if type(k) is not int or type(l) is not int or k < 0 or l < 0:
+            return None
+        if k:
+            ks += k
+            if star:
+                cur += k
+            else:
+                runs.append(cur)
+                cur, star = k, True
+        if l:
+            ls += l
+            if star:
+                runs.append(cur)
+                cur, star = l, False
+            else:
+                cur += l
+    runs.append(cur)
+    if not runs[0]:
+        del runs[0]
+    if len(runs) < 3:
+        return (ks, ls), ks, ls
+    if len(runs) % 2:  # first and last run spell the same letter
+        runs[0] += runs.pop()
+    return tuple(runs), ks, ls
 
 
 def canonical_key(key) -> tuple:
     """A canonical orbit representative under rotation and reversal.
 
-    Every zero entry is contracted first (a zero block merges its two
-    neighbours into one entry) until no zero is left or two entries
-    remain; then the least rotation of the key or of its reversal is
-    taken.  Value-preserving: n_value(key) == n_value(canonical_key(key)).
+    The zero entries are contracted first (a zero merges its two
+    neighbours into one entry), which leaves the run lengths of the cyclic
+    word, or the single pair (k-sum, l-sum) when fewer than three runs are
+    left; then the least rotation of the key or of its reversal is taken.
+    Value-preserving: n_value(key) == n_value(canonical_key(key)).
     """
     key = validate_key(key)
     if min(key) < 0:
         raise ValueError("canonical_key needs nonnegative entries")
-    return dihedral_min(_contract(key))
+    walked = _contract(key)
+    if walked is None:  # int subclasses, which the walk does not take
+        walked = _contract(tuple(map(int, key)))
+    return dihedral_min(walked[0])
 
 
 class MomentEngine:
@@ -147,18 +183,23 @@ class MomentEngine:
     symmetry orbit, and every computed value is kept.  Lookups are pure, so
     concurrent use is safe at worst at the price of duplicate work.
 
-    Keys from outside (n_value, moment) pass one door, _lookup, which runs
-    each check once, in this order: the single-pair law; 0 for a negative
-    entry or unequal k-sum and l-sum; zero contraction, after which a
-    single pair is decided by the same law; and the orbit table, which maps
-    each contracted outside key to its canonical key and grows only with
-    the distinct keys asked for.  The canonical key then goes to _n, whose
-    first memo probe finds any value already known.  The recursion _n takes
-    trusted keys: its sub-keys are nonnegative, since
-    it splits only zero-free keys, and balanced, since the split sum skips
-    every inner subword whose k-sum and l-sum differ and the outer subword
-    of a nonzero chain is then balanced too.  It probes the memo, contracts
-    zeros and takes the dihedral_min of each key it meets.
+    Keys from outside (n_value, moment) pass one door, _door, which walks
+    the key's (k, l) pairs once (_contract): it checks that each entry is an
+    exact int >= 0, sums the k-entries and the l-entries, and builds the
+    contracted key, the run lengths of the cyclic word.  A key with any
+    other entry goes to validate_key, for its message; what that passes
+    holds a -1, answered by the single-pair law (1 for a balanced single
+    pair such as (-1, -1), 0 otherwise), or int subclasses, walked again as
+    plain ints.  Then an unequal k-sum and l-sum gives 0, a contracted
+    single pair gives 1, and the orbit table maps each contracted outside
+    key to its canonical key; it grows only with the distinct keys asked
+    for.  The canonical key then goes to _n, whose first memo probe finds
+    any value already known.  The recursion _n takes trusted keys: its
+    sub-keys are nonnegative, since it splits only zero-free keys, and
+    balanced, since the split sum skips every inner subword whose k-sum and
+    l-sum differ and the outer subword of a nonzero chain is then balanced
+    too.  It probes the memo, contracts zeros and takes the dihedral_min of
+    each key it meets.
 
     Each node makes O(n^2) sub-lookups and O(n^3) big-int products for n
     pairs (see the module docstring); the values of its inner subwords live
@@ -185,29 +226,36 @@ class MomentEngine:
 
     def n_value(self, key) -> int:
         """The integer N of a flat key."""
-        return self._lookup(validate_key(key))
+        return self._door(key)[0]
 
     def moment(self, key) -> Fraction:
         """The renormalized trace N/(m+1)! with m = sum of the k-entries."""
-        key = validate_key(key)
-        if min(key) < 0:
+        value, m = self._door(key)
+        if m is None:
             raise ValueError("moment needs nonnegative entries")
-        return Fraction(self._lookup(key), math.factorial(sum(key[0::2]) + 1))
+        return Fraction(value, math.factorial(m + 1))
 
-    def _lookup(self, key: tuple) -> int:
-        """N of a valid key from outside; the only reader and writer of the
-        orbit table."""
+    def _door(self, key) -> tuple:
+        """(N, k-sum) of a key from outside, the k-sum None for a key with
+        a -1 entry; the only reader and writer of the orbit table."""
+        key = tuple(key)
+        walked = _contract(key) if len(key) >= 2 and not len(key) % 2 else None
+        if walked is None:
+            # validate_key raises on a bad key with its message; what it
+            # passes holds a -1 or an int subclass
+            key = validate_key(key)
+            if min(key) < 0:
+                return (1 if len(key) == 2 and key[0] == key[1] else 0), None
+            walked = _contract(tuple(map(int, key)))
+        key, ks, ls = walked
+        if ks != ls:
+            return 0, ks
         if len(key) == 2:
-            return 1 if key[0] == key[1] else 0
-        if min(key) < 0 or sum(key[0::2]) != sum(key[1::2]):
-            return 0
-        key = _contract(key)
-        if len(key) == 2:
-            return 1 if key[0] == key[1] else 0
+            return 1, ks
         mk = self._orbits.get(key)
         if mk is None:
             mk = self._orbits[key] = dihedral_min(key)
-        return self._n(mk)
+        return self._n(mk), ks
 
     # -- recursion --
 
@@ -219,9 +267,10 @@ class MomentEngine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        key = _contract(key)
-        if len(key) == 2:
-            return 1 if key[0] == key[1] else 0
+        if 0 in key:
+            key = _contract(key)[0]
+            if len(key) == 2:  # (k-sum, l-sum) of a balanced key
+                return 1
         mk = dihedral_min(key)
         hit = self._memo.get(mk)
         if hit is not None:

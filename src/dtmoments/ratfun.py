@@ -720,8 +720,11 @@ class RationalExpr(_Value):
         identity form in all of them) divides the summed parts once instead
         of each part: division by 1 - u is linear and commutes with the
         prefix shift.  The tests check it against the direct route,
-        multiplication by ``geometric(u, D)``.
+        multiplication by ``geometric(u, D)``.  ``trunc`` must be an int
+        >= 0, not a bool.
         """
+        if _json_int(trunc, "truncation bound") < 0:
+            raise ValueError("truncation bound must be >= 0")
         packing = _Packing(self.registry.size, trunc)
         mask = packing.mask
         forms = {fid: packing.pack(f.terms, trunc) for fid, f in self._table.forms.items()}

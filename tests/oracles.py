@@ -4,9 +4,10 @@ Each one computes a quantity the package computes, by a route that shares
 nothing with the code it checks beyond basic arithmetic: the undivided
 numerator Q by a direct sum of tuple-keyed SymPoly products, the moment
 recursion memoized on raw keys, the canonical moment key by brute force
-over every rotation, the graded product of several series by the direct
-multinomial formula, the closed product of two rational expressions term
-pair by term pair on SymPoly products, and the two series pipelines (F_n
+over every rotation and its zero contraction one zero at a time, the
+graded product of several series by the direct multinomial formula, the
+closed product of two rational expressions term pair by term pair on
+SymPoly products, and the two series pipelines (F_n
 and the expansion of a rational expression) on tuple-keyed Series,
 multiplying by geometric(u, D) where the package divides packed terms by
 1 - u.  One route is narrower: p_by_window builds each P cell by its own
@@ -41,7 +42,7 @@ from dtmoments.fps import (
     odot_many,
 )
 from dtmoments.genfun import _inner, _outer
-from dtmoments.moments import nom
+from dtmoments.moments import dihedral_min, nom, validate_key
 from dtmoments.ratfun import (
     DistinctnessViolation,
     FormTable,
@@ -243,6 +244,34 @@ def dihedral_min_by_rotation(key: tuple) -> tuple:
     rev = key[::-1]
     n = len(key)
     return min([key[s:] + key[:s] for s in range(n)] + [rev[s:] + rev[:s] for s in range(n)])
+
+
+def contract_by_steps(key: tuple) -> tuple:
+    """Contract the zero entries of a nonnegative key one at a time, until
+    no zero is left or two entries remain: rotate a zero to the front, drop
+    it and merge its two neighbours into one entry."""
+    while len(key) > 2 and 0 in key:
+        s = key.index(0)
+        if s:
+            key = key[s:] + key[:s]
+        key = key[2:-1] + (key[-1] + key[1],)
+    return key
+
+
+def n_value_by_steps(key, recursion) -> int:
+    """N of a key from outside by the stepwise route: validate_key, the
+    single-pair law, 0 for a negative entry or unequal k-sum and l-sum,
+    contract_by_steps, the law again, then ``recursion`` (a MomentEngine's
+    _n) on the dihedral_min."""
+    key = validate_key(key)
+    if len(key) == 2:
+        return 1 if key[0] == key[1] else 0
+    if min(key) < 0 or sum(key[0::2]) != sum(key[1::2]):
+        return 0
+    key = contract_by_steps(key)
+    if len(key) == 2:
+        return 1 if key[0] == key[1] else 0
+    return recursion(dihedral_min(key))
 
 
 def canonical_key_by_rotation(key: tuple) -> tuple:

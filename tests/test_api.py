@@ -80,6 +80,8 @@ TEST_ONLY = (
     "series_at_equal_pairs",
     "split_factors",
     "_split_factors",
+    "contract_by_steps",
+    "n_value_by_steps",
 )
 
 
@@ -114,6 +116,8 @@ def test_test_only_routes_stay_out_of_the_package():
     # the engine always canonicalizes and keeps its memo; raw keys are the
     # oracle's job
     assert list(inspect.signature(moments.MomentEngine).parameters) == []
+    # outside keys pass one door, which does its own lookup
+    assert not hasattr(moments.MomentEngine, "_lookup")
 
 
 def test_readme_library_block_runs_as_written():

@@ -20,7 +20,7 @@ from dtmoments.fps import (
     geometric,
     odot_many,
 )
-from dtmoments.genfun import f_series
+from dtmoments.genfun import f_rational, f_series
 from dtmoments.ratfun import SymPoly, form_id
 from conftest import (
     CLONES,
@@ -58,6 +58,13 @@ def test_registry_rejects_bad_input():
             VariableRegistry(("x",), modulus)
     with pytest.raises(ValueError):
         VariableRegistry.zw_pairs(0)
+
+
+def test_zw_pairs_takes_only_ints():
+    for bad in (2.0, "2", True):
+        with pytest.raises(ValueError, match=rf"n must be an integer, got {bad!r}$"):
+            VariableRegistry.zw_pairs(bad)
+    assert VariableRegistry.zw_pairs(2) == ZW2
 
 
 def test_construction_enforces_support_constraint():
@@ -169,6 +176,9 @@ def test_outside_bounds_are_checked():
         Series.one(ZW1, 4).with_trunc(-1)
     with pytest.raises(ValueError, match="order"):
         QSeries(ZW1, 4, -1, {})
+    expr = f_rational(2)
+    with pytest.raises(ValueError, match="truncation bound must be >= 0"):
+        expr.expand(-1)
     # a bound that is not an int would be written as "# D: 2.5", which
     # from_text and from_json_dict refuse to read back
     for bad in (2.5, 2.0, "2", True):
@@ -180,6 +190,8 @@ def test_outside_bounds_are_checked():
             QSeries(ZW1, bad, 1, {})
         with pytest.raises(ValueError, match="order must be an integer"):
             QSeries(ZW1, 4, bad, {})
+        with pytest.raises(ValueError, match="truncation bound must be an integer"):
+            expr.expand(bad)
 
 
 # -- ring operations -----------------------------------------------------------
@@ -441,6 +453,21 @@ def test_packed_division_rejects_a_constant_term():
     packing = _Packing(2, 4)
     with pytest.raises(ValueError):
         _pdiv_one_minus({0: 1}, {0: 1}, packing.mask, 4)
+
+
+@pytest.mark.parametrize("size, bound", [(1, 128), (6, 255), (14, 200), (4, 256), (4, 127)])
+def test_unpack_reads_byte_wide_fields_as_the_masked_walk_does(size, bound):
+    # 128..255 give 8-bit fields, which unpack reads as bytes; 127 and 256
+    # sit on both sides of that width and take the masked walk
+    rng = random.Random(f"unpack-{size}-{bound}")
+    packing = _Packing(size, bound)
+    exps = {tuple(rng.randrange(bound // size + 1) for _ in range(size)) for _ in range(50)}
+    exps |= {(0,) * size, (bound,) + (0,) * (size - 1), (0,) * (size - 1) + (bound,)}
+    terms = {e: c for c, e in enumerate(exps, 1)}
+    packed = packing.pack(terms, bound)
+    assert packing.unpack(packed) == terms
+    assert packing.unpack(packed, range(size)) == terms
+    assert all(type(x) is int for e in packing.unpack(packed) for x in e)
 
 
 @pytest.mark.parametrize("registry", [ZW1, ZW2, ZW3, XY])

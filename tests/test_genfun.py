@@ -122,10 +122,12 @@ def test_geometric_inverts_one_minus_the_form():
         assert (one - u.with_trunc(D)) * geometric(u, D) == one, form_id(u)
 
 
-# D = 15, 16, 31, 32 sit on both sides of a packed field-width step
+# f_series packs 8-bit fields up to D = 255 and the width of D above, so
+# 255, 256 and 300 sit on both sides of its one width step; 15, 16, 31 and
+# 32 are the steps of a layout as wide as D
 @pytest.mark.parametrize(
     "n, D",
-    [(1, D) for D in (0, 1, 2, 15, 16, 31, 32)]
+    [(1, D) for D in (0, 1, 2, 15, 16, 31, 32, 255, 256, 300)]
     + [(2, D) for D in (0, 1, 2, 15, 16, 31, 32)]
     + [(3, 0), (3, 1), (3, 6), (3, 7), (3, 10), (3, 14), (4, 6), (4, 8), (4, 10), (5, 6), (5, 8)]
     + [(6, 4), (6, 6), (7, 4)],

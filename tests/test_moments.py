@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from dtmoments.moments import (
     MomentEngine,
+    _contract,
     canonical_key,
     dihedral_min,
     moment,
@@ -17,7 +19,13 @@ from dtmoments.moments import (
     validate_key,
 )
 from conftest import balanced_keys
-from oracles import canonical_key_by_rotation, dihedral_min_by_rotation, raw_n_value
+from oracles import (
+    canonical_key_by_rotation,
+    contract_by_steps,
+    dihedral_min_by_rotation,
+    n_value_by_steps,
+    raw_n_value,
+)
 
 
 # -- key plumbing -------------------------------------------------------------------
@@ -174,6 +182,81 @@ def test_canonical_key_matches_rotation_oracle_exhaustively():
 def test_dihedral_min_matches_every_rotation():
     for key in canonicalization_range():
         assert dihedral_min(key) == dihedral_min_by_rotation(key), key
+
+
+def test_run_length_contraction_matches_the_stepwise_one_exhaustively():
+    # the run lengths of the cyclic word are the stepwise contraction up to
+    # rotation and reversal, and the same walk sums each letter
+    for key in canonicalization_range():
+        contracted, ks, ls = _contract(key)
+        assert dihedral_min(contracted) == dihedral_min(contract_by_steps(key)), key
+        assert (ks, ls) == (sum(key[0::2]), sum(key[1::2])), key
+    # a zero at the wrap merges the last run with the first; two adjacent
+    # zeros there leave the runs on either side apart
+    assert _contract((1, 2, 1, 1, 3, 0))[0] == (4, 2, 1, 1)
+    assert _contract((0, 2, 1, 1, 3, 1))[0] == (3, 1, 1, 3)
+    assert _contract((0, 1, 2, 1, 0, 0, 1, 2, 1, 0))[0] == (1, 2, 1, 1, 2, 1)
+    assert _contract((0, 0, 0, 0)) == ((0, 0), 0, 0)
+    assert _contract((2, 0, 0, 0)) == ((2, 0), 2, 0)
+    assert _contract((1, -1)) is None
+    assert _contract((1, True)) is None
+    assert _contract((_Count(1), 1)) is None
+
+
+def test_door_matches_the_stepwise_route_exhaustively():
+    # one fresh engine each for plain keys, for int-subclass entries and for
+    # the stepwise route, which runs its own engine's recursion
+    plain, counted, steps = MomentEngine(), MomentEngine(), MomentEngine()
+    for key in canonicalization_range():
+        expected = n_value_by_steps(key, steps._n)
+        assert plain.n_value(key) == expected, key
+        assert counted.n_value(tuple(map(_Count, key))) == expected, key
+        value = Fraction(expected, math.factorial(sum(key[0::2]) + 1))
+        assert plain.moment(key) == value, key
+    assert plain.memo_size == steps.memo_size
+
+
+def test_door_answers_minus_one_keys_by_the_stepwise_route():
+    engine, steps = MomentEngine(), MomentEngine()
+    count = 0
+    for length in (2, 4, 6):
+        for key in product(range(-1, 3), repeat=length):
+            if -1 not in key:
+                continue
+            count += 1
+            assert engine.n_value(key) == n_value_by_steps(key, steps._n), key
+            assert engine.n_value(tuple(map(_Count, key))) == engine.n_value(key), key
+            with pytest.raises(ValueError, match="^moment needs nonnegative entries$"):
+                engine.moment(key)
+    assert count == 4**2 + 4**4 + 4**6 - 3**2 - 3**4 - 3**6
+    assert engine.memo_size == 0 and not engine._orbits
+
+
+SHAPE = "a moment key needs an even number of entries, at least two"
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ((), SHAPE),
+        ((1,), SHAPE),
+        ((1, 2, 3), SHAPE),
+        ((1, True, 1), SHAPE),
+        ((True, True), "key entries must be integers >= -1, got True"),
+        ((1, 1, False, 0), "key entries must be integers >= -1, got False"),
+        ((1, 1, 1.0, 0), "key entries must be integers >= -1, got 1.0"),
+        ((1, 1, -2, 0), "key entries must be integers >= -1, got -2"),
+        # a -1 or an int subclass before the bad entry does not hide it
+        ((-1, 1, 1, 2.5), "key entries must be integers >= -1, got 2.5"),
+        ((_Count(1), 1, True, 0), "key entries must be integers >= -1, got True"),
+    ],
+)
+def test_door_keeps_the_messages_of_validate_key(key, message):
+    for door in (MomentEngine().n_value, MomentEngine().moment, n_value, moment, canonical_key):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            door(key)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            door(list(key))
 
 
 def test_canonical_key_rejects_negatives():
