@@ -61,7 +61,8 @@ def _emit_series(out: Series, output: str) -> None:
     if output == "json":
         _emit_json(out.to_json_dict())
     else:
-        sys.stdout.write(out.to_text())
+        for chunk in out._text_chunks():
+            sys.stdout.write(chunk)
 
 
 def _cmd_moment(args) -> None:

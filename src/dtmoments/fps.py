@@ -31,9 +31,11 @@ not part of what they are.
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter
+from itertools import islice
+from operator import add, getitem
 
 Exponents = tuple[int, ...]
+_CHUNK = 4096  # term lines per piece of rendered text
 
 
 class RegistryMismatch(ValueError):
@@ -167,33 +169,52 @@ def _rename_positions(source, target, mapping) -> list:
         raise ValueError(err.args[0]) from None
 
 
-def _degree(term) -> int:
-    return sum(term[0])
+def _in_key_order(terms: dict):
+    """The (exponents, coefficient) pairs of ``terms`` in the canonical order:
+    by degree, then earlier variables and larger exponents first, sorted in C."""
+    keys = sorted(terms, reverse=True)
+    keys.sort(key=sum)
+    return zip(keys, map(terms.__getitem__, keys))
 
 
-def _in_order(items) -> list:
-    """(exponents, coefficient) pairs in the canonical term order: by total
-    degree, then by exponent tuple with earlier variables first, larger
-    exponents first.  Two stable sorts, the second by degree, so that the
-    tuples compare in C instead of through a per-term key."""
-    out = sorted(items, key=itemgetter(0), reverse=True)
-    out.sort(key=_degree)
-    return out
+class _Tokens(dict):
+    """A variable's token per exponent, made on first use: "" for 0, ``one``
+    for 1, else ``stem`` and x; a monomial is "".join(map(getitem, tables, e))."""
+
+    __slots__ = ("stem",)
+
+    def __init__(self, stem: str, one: str):
+        super().__init__({0: "", 1: one})
+        self.stem = stem
+
+    def __missing__(self, x):
+        self[x] = token = f"{self.stem}{x}"
+        return token
 
 
-def _split(c) -> tuple:
-    """(numerator, denominator) of an exact coefficient.  An int carries
-    both attributes itself, so no Fraction is built for it."""
-    return c.numerator, c.denominator
+def _text_lines(registry, terms: dict, head: str, indent=""):
+    """``head``, then the 'num/den monomial' lines of ``terms`` in order,
+    _CHUNK to a piece.  The format splits at whitespace and at '^', so a
+    name holding either is refused before anything is yielded."""
+    for name in registry.names:
+        if "^" in name or name.split() != [name]:
+            raise ValueError(f"variable name {name!r} holds whitespace or '^': no text form")
+    tables = [_Tokens(f" {name}^", f" {name}^1") for name in registry.names]
+    yield head
+    items = _in_key_order(terms)
+    while chunk := "".join([
+        f"{indent}{c.numerator}/{c.denominator}{''.join(map(getitem, tables, e))}\n"
+        for e, c in islice(items, _CHUNK)
+    ]):
+        yield chunk
 
 
-def _json_terms(items) -> list:
-    """JSON rows of (exponents, coefficient) pairs, in the canonical order."""
-    out = []
-    for e, c in _in_order(items):
-        num, den = _split(c)
-        out.append({"exps": list(e), "num": num, "den": den})
-    return out
+def _json_terms(terms: dict) -> list:
+    """JSON rows of terms, in the canonical order."""
+    return [
+        {"exps": list(e), "num": c.numerator, "den": c.denominator}
+        for e, c in _in_key_order(terms)
+    ]
 
 
 class _Value:
@@ -322,7 +343,7 @@ class Series(_Value):
     def sorted_terms(self) -> list[tuple[Exponents, object]]:
         """Terms in the canonical order: by total degree, then by exponent
         tuple with earlier registry variables first."""
-        return _in_order(self.terms.items())
+        return list(_in_key_order(self.terms))
 
     def __repr__(self) -> str:
         return f"Series({len(self.terms)} terms, vars={len(self.registry.names)}, D={self.trunc})"
@@ -423,20 +444,13 @@ class Series(_Value):
     def to_text(self) -> str:
         """Stable text form: header comments, then one 'num/den monomial'
         line per term in canonical order."""
-        lines = [
-            "# vars: " + " ".join(self.registry.names),
-            f"# N: {self.registry.modulus}",
-            f"# D: {self.trunc}",
-        ]
-        lines.extend(self._term_lines())
-        return "\n".join(lines) + "\n"
+        return "".join(self._text_chunks())
 
-    def _term_lines(self, indent=""):
-        names = self.registry.names
-        for exps, c in self.sorted_terms():
-            num, den = _split(c)
-            mono = " ".join(f"{name}^{e}" for name, e in zip(names, exps) if e)
-            yield f"{indent}{num}/{den} {mono}".rstrip()
+    def _text_chunks(self):
+        """to_text() piece by piece, for a caller that writes it out."""
+        reg = self.registry
+        head = f"# vars: {' '.join(reg.names)}\n# N: {reg.modulus}\n# D: {self.trunc}\n"
+        return _text_lines(reg, self.terms, head)
 
     @classmethod
     def from_text(cls, text: str) -> "Series":
@@ -464,6 +478,8 @@ class Series(_Value):
                     raise ValueError(f"line {lineno}: header {line!r} after a term line")
                 if body.startswith("vars:"):
                     names = tuple(body[5:].split())
+                    if any("^" in name for name in names):
+                        raise ValueError(f"line {lineno}: a variable name holds '^'")
                 elif body.startswith("N:"):
                     modulus = integer(body[2:].strip(), "modulus", lineno)
                 elif body.startswith("D:"):
@@ -508,7 +524,7 @@ class Series(_Value):
             "vars": list(self.registry.names),
             "N": self.registry.modulus,
             "D": self.trunc,
-            "terms": _json_terms(self.terms.items()),
+            "terms": _json_terms(self.terms),
         }
 
     @classmethod
@@ -828,12 +844,14 @@ class QSeries(_Value):
         parts = {r: Series._make(self.registry, trunc, t) for r, t in sums.items() if t}
         return QSeries._make(self.registry, trunc, order, parts)
 
-    def to_text(self) -> str:
-        lines = []
+    to_text = Series.to_text
+
+    def _text_chunks(self):
+        """to_text() piece by piece: each part's 'q^k:' line, then its terms."""
+        if not self.parts:
+            yield "\n"
         for k in sorted(self.parts):
-            lines.append(f"q^{k}:")
-            lines.extend(self.parts[k]._term_lines("  "))
-        return "\n".join(lines) + "\n"
+            yield from _text_lines(self.registry, self.parts[k].terms, f"q^{k}:\n", "  ")
 
     def to_json_dict(self) -> dict:
         return {

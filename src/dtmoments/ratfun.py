@@ -14,14 +14,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
-from operator import add, or_
+from operator import add, getitem, or_
 
 from .fps import (
     Series,
     VariableRegistry,
     _clean_terms,
-    _in_order,
     _json_int,
+    _in_key_order,
     _json_terms,
     _Packing,
     _padd_into,
@@ -30,10 +30,10 @@ from .fps import (
     _premap,
     _pshift,
     _rename_positions,
-    _split,
     _tmul,
     _tremap,
     _tscale,
+    _Tokens,
     _Value,
 )
 
@@ -157,7 +157,7 @@ class SymPoly(_Value):
         return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self):
-        return _in_order(self.terms.items())
+        return list(_in_key_order(self.terms))
 
     def _require_same(self, other: "SymPoly") -> None:
         if self.symbols != other.symbols:
@@ -199,21 +199,22 @@ class SymPoly(_Value):
 
     def pretty(self, names=None) -> str:
         """Human form, e.g. '2 - u1 - u2 - v1 - v2'."""
-        return _poly_pretty(self.symbols, self.sorted_terms(), names)
+        return _poly_pretty(self.symbols, self.terms, names)
 
     def to_json_dict(self) -> dict:
-        return {"symbols": list(self.symbols), "terms": _json_terms(self.terms.items())}
+        return {"symbols": list(self.symbols), "terms": _json_terms(self.terms)}
 
 
-def _poly_pretty(symbols, items, names=None) -> str:
-    """The human form of (exponents, coefficient) pairs over ``symbols``,
-    given in the canonical order; ``names`` maps a symbol to its display
-    name (the symbol itself by default)."""
+def _poly_pretty(symbols, terms: dict, names=None) -> str:
+    """The human form of ``terms`` over ``symbols``, in the canonical order;
+    ``names`` maps a symbol to its display name (the symbol itself by
+    default)."""
     labels = [names[s] for s in symbols] if names else symbols
+    tables = [_Tokens(f"{label}^", label) for label in labels]
     pieces = []
-    for e, c in items:
-        mono = "".join([labels[i] if x == 1 else f"{labels[i]}^{x}" for i, x in enumerate(e) if x])
-        num, den = _split(c)
+    for e, c in _in_key_order(terms):
+        mono = "".join(map(getitem, tables, e))
+        num, den = c.numerator, c.denominator
         mag = abs(num)
         if den != 1:
             body = f"({mag}/{den}){mono}" if mono else f"{mag}/{den}"
@@ -436,7 +437,7 @@ def form_id(form: Series) -> str:
     pieces = []
     for exps, c in form.sorted_terms():
         mono = _display_mono(form.registry, exps)
-        num, den = _split(c)
+        num, den = c.numerator, c.denominator
         if den != 1:
             body = f"{num}/{den}{mono}"
         elif num == 1:
@@ -777,11 +778,11 @@ class RationalExpr(_Value):
             yield "0"
         for i, t in enumerate(self.terms):
             mono = _display_mono(self.registry, t.prefix)
-            items = _in_order(t._numerator_terms().items())
-            num = _poly_pretty(t.symbols, items, alias)
+            terms = t._numerator_terms()
+            num = _poly_pretty(t.symbols, terms, alias)
             if num == "1":
                 top = mono or "1"
-            elif len(items) > 1 or mono:
+            elif len(terms) > 1 or mono:
                 top = f"{mono}({num})" if mono else f"({num})"
             else:
                 top = num
@@ -808,7 +809,7 @@ class RationalExpr(_Value):
             "prefix": {"z": zs, "w": ws},
             "numerator": {
                 "symbols": list(t.symbols),
-                "terms": _json_terms(t._numerator_terms().items()),
+                "terms": _json_terms(t._numerator_terms()),
             },
             "denominator": list(t.denominator),
         }

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -82,3 +83,11 @@ def assert_frozen(value):
             setattr(value, slot, None)
         with pytest.raises(AttributeError, match=f"{name} is immutable"):
             delattr(value, slot)
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """got == expected, compared line by line: a failure names the first
+    line that differs instead of diffing megabytes of text."""
+    lines = zip_longest(got.splitlines(True), expected.splitlines(True))
+    for lineno, (a, b) in enumerate(lines, start=1):
+        assert a == b, f"line {lineno}"

@@ -21,6 +21,11 @@ t = zw: the closed form read through its public fields, and the recursion
 run in one variable on the package's subword blueprints.  The two that sum
 over every split set walk them here (split_factors), so they share no walk
 with f_rational, which reads its own tables of placed factors.
+The item-based renderers (series_text_by_items, qseries_text_by_items,
+poly_pretty_by_items) write the package's text and human forms from the
+(exponents, coefficient) pairs in one sort by an explicit per-term key,
+one line or piece at a time, where the package orders the keys alone and
+renders through token tables in chunks.
 It also holds the helpers that only the tests need: the homogeneous slices
 of a Series, a SymPoly re-expressed over other symbols, the packed
 exponent swap and the exact division by a difference x_a - x_b.
@@ -32,6 +37,7 @@ from itertools import combinations, product
 
 from dtmoments.fps import (
     Exponents,
+    QSeries,
     Series,
     VariableRegistry,
     _Packing,
@@ -284,6 +290,65 @@ def canonical_key_by_rotation(key: tuple) -> tuple:
             key = key[2:-1] + (key[-1] + key[1],)
             continue
         return key
+
+
+# -- the item-based renderers -----------------------------------------------------------
+
+
+def items_by_key(terms: dict) -> list:
+    """(exponents, coefficient) pairs by total degree, then by exponent
+    tuple with larger exponents of earlier variables first."""
+    return sorted(terms.items(), key=lambda t: (sum(t[0]), [-x for x in t[0]]))
+
+
+def _term_lines_by_items(f: Series, indent=""):
+    names = f.registry.names
+    for exps, c in items_by_key(f.terms):
+        mono = " ".join(f"{name}^{e}" for name, e in zip(names, exps) if e)
+        yield f"{indent}{c.numerator}/{c.denominator} {mono}".rstrip()
+
+
+def series_text_by_items(f: Series) -> str:
+    """Series.to_text, one line per term."""
+    lines = [
+        "# vars: " + " ".join(f.registry.names),
+        f"# N: {f.registry.modulus}",
+        f"# D: {f.trunc}",
+    ]
+    lines.extend(_term_lines_by_items(f))
+    return "\n".join(lines) + "\n"
+
+
+def qseries_text_by_items(h: QSeries) -> str:
+    """QSeries.to_text, one line per part header and per term."""
+    lines = []
+    for k in sorted(h.parts):
+        lines.append(f"q^{k}:")
+        lines.extend(_term_lines_by_items(h.parts[k], "  "))
+    return "\n".join(lines) + "\n"
+
+
+def poly_pretty_by_items(p: SymPoly, names=None) -> str:
+    """SymPoly.pretty, one piece per term."""
+    labels = [names[s] for s in p.symbols] if names else p.symbols
+    pieces = []
+    for e, c in items_by_key(p.terms):
+        mono = "".join([labels[i] if x == 1 else f"{labels[i]}^{x}" for i, x in enumerate(e) if x])
+        num, den = c.numerator, c.denominator
+        mag = abs(num)
+        if den != 1:
+            body = f"({mag}/{den}){mono}" if mono else f"{mag}/{den}"
+        elif not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}{mono}"
+        if not pieces:
+            pieces.append(body if num > 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if num > 0 else "- ") + body)
+    return " ".join(pieces) if pieces else "0"
 
 
 # -- the graded product of several series ----------------------------------------------

@@ -82,6 +82,10 @@ TEST_ONLY = (
     "_split_factors",
     "contract_by_steps",
     "n_value_by_steps",
+    "items_by_key",
+    "series_text_by_items",
+    "qseries_text_by_items",
+    "poly_pretty_by_items",
 )
 
 
@@ -109,6 +113,9 @@ def test_test_only_routes_stay_out_of_the_package():
     assert not hasattr(ratfun.SymPoly, "with_symbols")
     assert not hasattr(fps.Series, "homogeneous_part")
     assert not hasattr(fps.Series, "max_part_index")
+    # the renderers order keys, not items, and Series renders in chunks
+    assert not hasattr(fps, "_in_order")
+    assert not hasattr(fps.Series, "_term_lines")
     # forms enter a table only through FormTable.add and move by key
     assert not hasattr(ratfun.FormTable, "get")
     assert not hasattr(ratfun.FormTable, "_add_keyed")

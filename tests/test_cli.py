@@ -13,6 +13,7 @@ from dtmoments import Series, e_transform
 from dtmoments.cli import main
 from dtmoments.genfun import f_series
 from dtmoments.ratfun import DistinctnessViolation, ExactDivisionError
+from conftest import assert_same_text
 
 
 def run(capsys, *argv):
@@ -186,6 +187,69 @@ def test_closed_pipe_from_the_shell_is_silent():
     # a pipe that never reports the closed reader lets the write finish
     assert proc.wait(timeout=60) in (0, 1)
     assert err == b""
+
+
+class _Recorder:
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_series_and_etransform_write_text_in_pieces(monkeypatch, tmp_path):
+    # f_series(3, 20) has more terms than one piece holds
+    f = f_series(3, 20)
+    path = tmp_path / "f.series"
+    path.write_text(f.to_text(), encoding="ascii")
+    for argv, expected in [
+        (["series", "--n", "3", "--D", "20"], f.to_text()),
+        (["etransform", str(path)], e_transform(f).to_text()),
+    ]:
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        assert len(out.writes) > 2
+        assert_same_text("".join(out.writes), expected)
+
+
+def test_a_pipe_closed_between_pieces_is_a_silent_exit_1(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "f.series"
+    path.write_text(f_series(3, 20).to_text(), encoding="ascii")
+    for argv in (["series", "--n", "3", "--D", "20"], ["etransform", str(path)]):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(200_000))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+
+
+def test_series_into_a_pipe_closed_midway_from_the_shell_is_exit_1():
+    # 359,509 bytes: more than the pipe holds, so a write meets the closed
+    # reader
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dtmoments", "series", "--n", "3", "--D", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(64)) == 64
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_a_caret_in_a_series_file_name_is_a_usage_error_at_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.series"
+    path.write_text("# vars: z^1 w1\n# N: 2\n# D: 4\n1/1\n", encoding="ascii")
+    code, out, err = run(capsys, "etransform", str(path))
+    assert (code, out) == (2, "")
+    assert err == "dtmoments: error: line 1: a variable name holds '^'\n"
 
 
 # ---------------------------------------------------------------- odot / etransform

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from dtmoments import fps
 from dtmoments.fps import (
     QSeries,
     RegistryMismatch,
@@ -28,10 +30,19 @@ from conftest import (
     ZW2,
     ZW3,
     assert_frozen,
+    assert_same_text,
     random_fractions,
     random_theta_series,
 )
-from oracles import homogeneous_part, max_part_index, odot_many_direct
+from oracles import (
+    homogeneous_part,
+    items_by_key,
+    max_part_index,
+    odot_many_direct,
+    poly_pretty_by_items,
+    qseries_text_by_items,
+    series_text_by_items,
+)
 
 
 # -- registry and construction -------------------------------------------------
@@ -583,3 +594,121 @@ def test_text_format_shape():
     assert "# D: 4" in text
     assert "1/3" in text.splitlines()
     assert "-4/1 z1^2 w1^2" in text.splitlines()
+
+
+# -- rendering: key order, token tables and chunks ---------------------------------
+
+NAMED = VariableRegistry(("alpha", "b_2", "z"), 1)
+ONE = VariableRegistry(("x",), 1)
+
+
+def random_coefficient(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randrange(1, 10**12)
+    if kind == 1:
+        return -rng.randrange(1, 50)
+    return Fraction(rng.randrange(-99, 100) or 1, rng.randrange(2, 30))
+
+
+def random_exponents(rng, size, degree):
+    """A random exponent tuple of ``size`` entries summing to ``degree``."""
+    cuts = sorted(rng.randrange(degree + 1) for _ in range(size - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+def random_wide_series(registry, D, rng, count):
+    """A series whose exponents spread up to D, far past one digit."""
+    N = registry.modulus
+    terms = {}
+    for _ in range(count):
+        degree = N * rng.randrange(D // N + 1)
+        terms[random_exponents(rng, registry.size, degree)] = random_coefficient(rng)
+    return Series(registry, D, terms)
+
+
+@pytest.mark.parametrize("registry", [ONE, NAMED, ZW1, ZW2, ZW3])
+@pytest.mark.parametrize("D", [0, 1, 7, 12, 255, 256])
+def test_text_renderers_write_the_item_oracles_bytes(registry, D):
+    rng = random.Random(f"render-{registry.names}-{D}")
+    size = registry.size
+    values = [
+        Series(registry, D, {}),
+        Series(registry, D, {(0,) * size: Fraction(-3, 7)}),
+        Series(registry, D, {(0,) * size: 5}),
+    ]
+    values += [random_wide_series(registry, D, rng, rng.randrange(1, 40)) for _ in range(6)]
+    if D >= 100:
+        assert any(max(e) >= 100 for f in values for e in f.terms)
+    for f in values:
+        text = f.to_text()
+        assert text == series_text_by_items(f)
+        assert "".join(f._text_chunks()) == text
+        assert f.sorted_terms() == items_by_key(f.terms)
+        h = e_transform(f)
+        assert h.to_text() == qseries_text_by_items(h)
+        hh = h * h
+        assert hh.to_text() == qseries_text_by_items(hh)
+    empty = QSeries(registry, D, D // registry.modulus, {})
+    assert empty.to_text() == qseries_text_by_items(empty) == "\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 4])
+def test_pretty_writes_the_item_oracles_bytes(size):
+    rng = random.Random(f"pretty-{size}")
+    symbols = tuple(f"s{i}" for i in range(size))
+    names = {s: f"{s.upper()}'" for s in symbols}
+    values = [SymPoly(symbols, {}), SymPoly(symbols, {(0,) * size: Fraction(-2, 9)})]
+    for _ in range(20):
+        degree = rng.choice([0, 1, 3, 12, 150])
+        terms = {
+            random_exponents(rng, size, degree) if size else (): random_coefficient(rng)
+            for _ in range(rng.randrange(1, 30))
+        }
+        values.append(SymPoly(symbols, terms))
+    values.append(SymPoly(symbols, {(0,) * size: -1, (1,) * size: 1}))
+    for p in values:
+        assert p.pretty() == poly_pretty_by_items(p)
+        assert p.pretty(names) == poly_pretty_by_items(p, names)
+        assert p.sorted_terms() == items_by_key(p.terms)
+    assert SymPoly((), {(): 5}).pretty() == "5"
+    assert SymPoly((), {}).pretty() == "0"
+
+
+def test_series_text_renders_in_chunks_of_lines():
+    f = f_series(3, 20)
+    assert len(f.terms) == 12298 > fps._CHUNK
+    chunks = list(f._text_chunks())
+    assert len(chunks) == 1 + -(-len(f.terms) // fps._CHUNK)
+    assert [c.count("\n") for c in chunks[1:-1]] == [fps._CHUNK] * (len(chunks) - 2)
+    assert "".join(chunks) == f.to_text()
+    assert_same_text(f.to_text(), series_text_by_items(f))
+    h = e_transform(f)
+    assert_same_text(h.to_text(), qseries_text_by_items(h))
+
+
+@pytest.mark.parametrize(
+    "names, bad",
+    [(("a b", "c"), "a b"), (("x^2", "y"), "x^2"), (("x", "y\t"), "y\t"), (("^", "y"), "^")],
+)
+def test_text_refuses_a_name_it_could_not_read_back(names, bad):
+    # as text, ("a b", "c") would read back as three variables and
+    # ("x^2", "y") as an unknown variable 'x'
+    registry = VariableRegistry(names, 2)
+    f = Series(registry, 4, {(1, 1): 3, (2, 0): Fraction(1, 2)})
+    message = re.escape(f"variable name {bad!r} holds whitespace or '^'")
+    for value in (f, Series.zero(registry, 4), e_transform(f)):
+        with pytest.raises(ValueError, match=message):
+            value.to_text()
+        # refused before the first piece is handed out
+        with pytest.raises(ValueError, match=message):
+            next(iter(value._text_chunks()))
+    # JSON carries any name
+    assert Series.from_json_dict(json.loads(json.dumps(f.to_json_dict()))) == f
+
+
+def test_from_text_refuses_a_caret_in_a_name_at_its_line():
+    with pytest.raises(ValueError, match="line 1: a variable name holds '\\^'"):
+        Series.from_text("# vars: x^2 y\n# D: 4\n1/1 x^2^1 y^1\n")
+    with pytest.raises(ValueError, match="line 2: a variable name holds '\\^'"):
+        Series.from_text("# written by hand\n# vars: x y^\n# N: 1\n# D: 4\n")

@@ -22,12 +22,14 @@ from dtmoments.ratfun import (
     identity_form,
     permutation_form,
 )
-from conftest import ZW2, ZW3, balanced_keys
+from conftest import ZW2, ZW3, assert_same_text, balanced_keys
 from oracles import (
     closed_form_at_equal_pairs,
     expand_by_geometric,
     f_series_by_geometric,
+    poly_pretty_by_items,
     series_at_equal_pairs,
+    series_text_by_items,
     split_factors,
 )
 
@@ -397,6 +399,30 @@ def test_rational_output_bytes_are_pinned():
         digest.update(expr.pretty().encode())
         digest.update(json.dumps(expr.to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == F_RATIONAL_2_TO_6_SHA256
+
+
+# the oracle pass's series ladder and the closed-form pass's expansions
+SERIES_LADDER = ((3, 20), (4, 12), (5, 10), (6, 8), (7, 6))
+EXPANSIONS = ((5, 8), (6, 6))
+
+
+def test_series_and_expansions_render_the_item_oracles_bytes():
+    for n, D in SERIES_LADDER:
+        f = f_series(n, D)
+        assert_same_text(f.to_text(), series_text_by_items(f))
+    for n, D in EXPANSIONS:
+        f = f_rational(n).expand(D)
+        assert_same_text(f.to_text(), series_text_by_items(f))
+
+
+def test_rational_numerators_render_the_item_oracles_bytes():
+    for n in range(2, 7):
+        expr = f_rational(n)
+        alias = expr._table.display_names()
+        for t in expr.terms:
+            p = t.numerator
+            assert p.pretty(alias) == poly_pretty_by_items(p, alias)
+            assert p.pretty() == poly_pretty_by_items(p)
 
 
 # -- diagonals ---------------------------------------------------------------------
