@@ -68,17 +68,17 @@ def _norm_coeff(c):
 def _clean_terms(terms, size: int, modulus: int = 1, limit=None) -> dict:
     """Validated terms from a mapping or from (exponents, coefficient) pairs.
 
-    Every exponent tuple must have ``size`` nonnegative int entries and every
-    coefficient must be exact (TypeError otherwise); zero terms and terms
-    that cancel are dropped.  A nonzero term whose degree is not a multiple
-    of ``modulus`` raises, one of degree > ``limit`` is dropped.
+    Every exponent tuple must have ``size`` int entries >= 0, not bools,
+    and every coefficient must be exact (TypeError otherwise); zero terms
+    and terms that cancel are dropped.  A nonzero term whose degree is not
+    a multiple of ``modulus`` raises, one of degree > ``limit`` is dropped.
     """
     out: dict = {}
     for exps, c in terms.items() if hasattr(terms, "items") else terms:
         exps = tuple(exps)
         if len(exps) != size:
             raise ValueError(f"exponent tuple {exps} does not have {size} entries")
-        if any(not isinstance(e, int) or e < 0 for e in exps):
+        if any(type(e) is not int or e < 0 for e in exps):
             raise ValueError(f"exponents must be nonnegative integers, got {exps}")
         c = _norm_coeff(c)
         if c == 0:

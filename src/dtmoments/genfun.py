@@ -180,8 +180,8 @@ def f_rational(n: int) -> RationalExpr:
     Each term's numerator stays packed from the closed product to the
     renderer (see ratfun.RationalTerm).  A call keeps one memo for its
     closed products and drops it when it returns: the pair-sum ids, keyed
-    by (u_id, v_id), and the packed pieces of P.  A pair sum found in the
-    memo still enters each product's table by key where it did before, so
+    by (u_id, v_id) and by terms, and the packed pieces of P.  A memo pair
+    sum still enters each product's table by key where it did before, so
     the u1, u2, ... aliases are as without the memo.
 
     Observed for n <= 7 by the tests, not proved here nor taken from the

@@ -59,7 +59,10 @@ def parse_key(text: str) -> tuple:
 
 
 def multinomial(parts) -> int:
-    """(sum parts)! / prod(part!), exactly."""
+    """(sum parts)! / prod(part!), exactly; a part must be an int >= 0, not a bool."""
+    parts = tuple(parts)
+    if bool in map(type, parts):
+        raise TypeError(f"multinomial parts must be ints, not bools, got {parts}")
     total, out = 0, 1
     for p in parts:
         total += p
@@ -78,9 +81,9 @@ def nom(ls, js) -> int:
     ls = tuple(ls)
     js = tuple(js)
     n = len(ls)
-    if not js or list(js) != sorted(set(js)) or js[0] < 1 or js[-1] > n:
+    if not js or list(js) != sorted(set(js)) or js[0] < 1 or js[-1] > n or bool in map(type, js):
         raise ValueError(f"split positions must be increasing in 1..{n}, got {js}")
-    if any(not isinstance(e, int) or e < 0 for e in ls):
+    if bool in map(type, ls) or any(not isinstance(e, int) or e < 0 for e in ls):
         raise ValueError("the multinomial weight is only defined for entries >= 0")
     blocks = [sum(ls[: js[0] - 1]) + sum(ls[js[-1] - 1 :])]
     for a, b in zip(js, js[1:]):

@@ -713,23 +713,25 @@ class RationalExpr(_Value):
     def expand(self, trunc: int) -> Series:
         """The expression as a series truncated at total degree ``trunc``.
 
-        Runs on packed exponents (the fps kernel): each numerator is
-        evaluated at the packed forms, read field by field off its packed
-        terms, divided by each denominator 1 - u slice by slice in degree,
-        and shifted by its prefix; the sum is unpacked once at the end.  A
-        form that every term's denominator holds (f_rational puts the
-        identity form in all of them) divides the summed parts once instead
-        of each part: division by 1 - u is linear and commutes with the
-        prefix shift.  The tests check it against the direct route,
-        multiplication by ``geometric(u, D)``.  ``trunc`` must be an int
-        >= 0, not a bool.
+        Runs on packed exponents in f_series's layout, _Packing(size,
+        max(trunc, 255)), so the final unpack reads bytes.  Each numerator
+        is evaluated at the packed forms (its terms of degree k give degree
+        kN, so those past the budget are skipped) and shifted by its prefix.
+        Division by 1 - u is linear and commutes with the shift, so the parts
+        are divided through a trie over the denominator ids, the ids every
+        term holds first: terms that share a leading run of ids, adjacent in
+        sorted order, sum before the division by each id of the run, and only
+        the sums on one open path are alive at a time.  The tests check it
+        against ``geometric(u, D)``.  ``trunc`` must be an int >= 0, not a bool.
         """
         if _json_int(trunc, "truncation bound") < 0:
             raise ValueError("truncation bound must be >= 0")
-        packing = _Packing(self.registry.size, trunc)
+        packing = _Packing(self.registry.size, max(trunc, 255))
         mask = packing.mask
+        N = self.registry.modulus
         forms = {fid: packing.pack(f.terms, trunc) for fid, f in self._table.forms.items()}
         powers: dict = {}
+        shift = lru_cache(maxsize=None)(packing.mono)
 
         def power(fid: str, k: int) -> dict:
             if (fid, k) not in powers:
@@ -737,31 +739,46 @@ class RationalExpr(_Value):
                 powers[fid, k] = _pmul_trunc(lower, forms[fid], mask, trunc)
             return powers[fid, k]
 
-        shared = Counter(self.terms[0].denominator) if self.terms else Counter()
-        for t in self.terms[1:]:
-            shared &= Counter(t.denominator)
-        acc: dict = {}
-        for t in self.terms:
+        shared = set(self.terms[0].denominator if self.terms else ())
+        shared.intersection_update(*(t.denominator for t in self.terms))
+
+        def trie_path(t: RationalTerm) -> list:  # shared ids first, both runs still sorted
+            return sorted(t.denominator, key=shared.__contains__, reverse=True)
+
+        path, sums = [], [{}]  # the open trie nodes' ids, root first, and their sums
+
+        def add(part: dict) -> None:  # to the deepest open sum; the larger dict takes the other
+            if len(part) > len(sums[-1]):
+                part, sums[-1] = sums[-1], part
+            _padd_into(sums[-1], part)
+
+        def close(depth: int) -> None:
+            while len(path) > depth:
+                fid, part = path.pop(), sums.pop()
+                if part:
+                    add(_pdiv_one_minus(part, forms[fid], mask, trunc))
+
+        for t in sorted(self.terms, key=trie_path):
             budget = trunc - sum(t.prefix)
-            if budget < 0:
-                continue
-            # part may keep terms above the budget: the division by each
-            # 1 - u and the prefix shift drop them
             fmask = t.packing.mask
             fields = list(zip(t.fields, t.packing.shifts))
             part: dict = {}
             for e, c in t.packed.items():
-                factors = [power(s, x) for s, w in fields if (x := (e >> w) & fmask)]
-                mono = factors[0] if factors else {0: 1}
-                for f in factors[1:]:
-                    mono = _pmul_trunc(mono, f, mask, budget)
-                _padd_into(part, mono, c)
-            for fid in (Counter(t.denominator) - shared).elements():
-                part = _pdiv_one_minus(part, forms[fid], mask, budget)
-            _padd_into(acc, _pshift(part, packing.mono(t.prefix), mask, trunc))
-        for fid in shared.elements():
-            acc = _pdiv_one_minus(acc, forms[fid], mask, trunc)
-        return Series._make(self.registry, trunc, packing.unpack(acc))
+                if (e & fmask) * N <= budget:
+                    factors = [power(s, x) for s, w in fields if (x := (e >> w) & fmask)]
+                    mono = factors[0] if factors else {0: 1}
+                    for f in factors[1:]:
+                        mono = _pmul_trunc(mono, f, mask, budget)
+                    _padd_into(part, mono, c)
+            if part:  # so budget >= 0; the shift drops what lies above it
+                ids = trie_path(t)
+                pairs = enumerate(zip(path, ids))
+                close(next((i for i, (a, b) in pairs if a != b), min(len(path), len(ids))))
+                sums += [{} for _ in ids[len(path):]]
+                path += ids[len(path):]
+                add(_pshift(part, shift(t.prefix), mask, trunc))
+        close(0)
+        return Series._make(self.registry, trunc, packing.unpack(sums[0]))
 
     # -- rendering --
 
@@ -819,39 +836,40 @@ class RationalExpr(_Value):
 
 
 class _ProductMemo:
-    """What the closed products over one registry may share: the id and form
-    of each pair sum u + v, keyed by (u_id, v_id) -- ids fix forms within a
-    registry -- the pieces of P packed for the products' numerators, and
-    one int object per packed monomial value for their keys.  f_rational
-    keeps one for the length of a call; odot_closed makes one per call."""
+    """What the closed products over one registry may share: each pair sum
+    u + v's id and form, keyed by (u_id, v_id) (ids fix forms within a
+    registry) and by its terms, so each distinct sum is built and rendered
+    once; P's shapes and packed pieces for the numerators; and one int
+    object per packed monomial value for their keys.  f_rational keeps one
+    for the length of a call; odot_closed makes one per call."""
 
-    __slots__ = ("sums", "pieces", "packed", "keys")
+    __slots__ = ("sums", "shapes", "packed", "keys")
 
     def __init__(self):
-        self.sums: dict = {}
-        self.pieces: dict = {}
-        self.packed: dict = {}
-        self.keys: dict = {}  # packed monomial -> the one object of that value
+        self.sums, self.shapes, self.packed, self.keys = {}, {}, {}, {}
 
-    def piece(self, m: int, n: int, k: int, l: int) -> tuple:
-        """(degree, used): the degree of P^{k,l}_{m,n} and the positions of
-        the u/v symbols it uses, in u1..um, v1..vn order."""
-        key = (m, n, k, l)
-        if key not in self.pieces:
-            poly = p_polynomial(m, n, k, l)
-            used = tuple(p for p in range(m + n) if any(e[p] for e in poly.terms))
-            self.pieces[key] = poly.degree(), used
-        return self.pieces[key]
+    def shape(self, m: int, n: int, ks: frozenset, ls: frozenset) -> tuple:
+        """(degree, used) over the pieces P^{k,l}_{m,n}, k in ks and l in ls:
+        the largest degree among them and the positions of the u/v symbols
+        any of them uses, in u1..um, v1..vn order."""
+        key = (m, n, ks, ls)
+        if key not in self.shapes:
+            polys = [p_polynomial(m, n, k, l) for k in ks for l in ls]
+            used = [p for p in range(m + n) if any(e[p] for q in polys for e in q.terms)]
+            self.shapes[key] = max((q.degree() for q in polys), default=0), used
+        return self.shapes[key]
 
-    def packed_piece(self, m: int, n: int, k: int, l: int, packing: _Packing, where) -> list:
-        """P^{k,l}_{m,n} as (packed monomial, coefficient) pairs in ``packing``,
-        its u/v position p at variable where[p]; positions that share a
-        variable add.  A packed monomial depends on the layout only through
-        its width and ``where``."""
+    def packed_piece(self, m: int, n: int, k: int, l: int, packing: _Packing, where) -> dict:
+        """P^{k,l}_{m,n} packed in ``packing``, its u/v position p at variable
+        where[p]; positions that share a variable add.  A packed monomial
+        depends on the layout only through its width and ``where``.  The
+        keys are the memo's shared ints, so that a product whose numerators
+        are both 1 can keep the piece itself."""
         key = (m, n, k, l, packing.width, where)
         if key not in self.packed:
             terms = _tremap(p_polynomial(m, n, k, l).terms, where, len(packing.shifts))
-            self.packed[key] = list(packing.pack(terms, packing.mask).items())
+            packed = packing.pack(terms, packing.mask)
+            self.packed[key] = {self.keys.setdefault(e, e): c for e, c in packed.items()}
         return self.packed[key]
 
 
@@ -860,18 +878,18 @@ def _odot_pair(
 ) -> RationalTerm:
     """One term pair of the closed product.
 
-    A pair sum comes from ``memo`` when an earlier pair built it, and
-    enters ``table`` by key where table.add would have put it, so the table
-    keeps its row-major order: this pair's sums, then its numerator
-    symbols, which move over from the operand tables by id.
+    A pair sum comes from ``memo`` when an earlier pair built it or a sum
+    of the same terms, and enters ``table`` by key where table.add would
+    have put it, so the table keeps its row-major order: this pair's sums,
+    then its numerator symbols, which move over from the operand tables by id.
 
     The numerator is built packed and stays packed.  The output layout puts
     the u/v symbols that the needed pieces of P use first, in u/v order,
     then the operands' other fields, sorted, so that most pairs meet the
-    pieces the memo already packed; each operand numerator is moved into
-    the layout once per pair.  Every numerator term pair adds its base
-    monomial e1 + e2 to the piece's terms and scales them by c1 * c2.  A
-    field that no output term uses is dropped at the end.
+    pieces the memo already packed.  Two numerators 1 give the piece
+    itself; else every numerator term pair adds its base monomial e1 + e2
+    to the piece's terms and scales them by c1 * c2.  A field that no
+    output term uses is dropped at the end.
     """
     m = len(t1.denominator)
     n = len(t2.denominator)
@@ -886,11 +904,16 @@ def _odot_pair(
         for b in v_ids:
             known = sums.get((a, b))
             if known is None:
-                fid = table.add(forms1[a] + forms2[b])
-                sums[a, b] = fid, table.forms[fid]
-            else:
-                fid, form = known
-                table.forms.setdefault(fid, form)
+                terms = dict(forms1[a].terms)
+                _padd_into(terms, forms2[b].terms)
+                content = frozenset(terms.items())
+                known = sums.get(content)
+                if known is None:
+                    fid = table.add(Series._make(registry, N, terms))
+                    known = sums[content] = fid, table.forms[fid]
+                sums[a, b] = known
+            fid, form = known
+            table.forms.setdefault(fid, form)
             flat.append(fid)
     if len(set(flat)) != m * n:
         collisions = sorted(fid for fid, cnt in Counter(flat).items() if cnt > 1)
@@ -900,51 +923,46 @@ def _odot_pair(
 
     k_pref = sum(t1.prefix) // N
     l_pref = sum(t2.prefix) // N
-    degs1 = {e & t1.packing.mask for e in t1.packed}
-    degs2 = {e & t2.packing.mask for e in t2.packed}
-    if degs1 and degs2 and (k_pref + max(degs1) > m - 1 or l_pref + max(degs2) > n - 1):
+    ks = frozenset([k_pref + (e & t1.packing.mask) for e in t1.packed])
+    ls = frozenset([l_pref + (e & t2.packing.mask) for e in t2.packed])
+    if ks and ls and (max(ks) > m - 1 or max(ls) > n - 1):
         raise ValueError("closed product needs (prefix + numerator) shorter than the denominator")
-    needed = {
-        (k_pref + d1, l_pref + d2): memo.piece(m, n, k_pref + d1, l_pref + d2)
-        for d1 in degs1
-        for d2 in degs2
-    }
+    degree, used = memo.shape(m, n, ks, ls)
     # an output term has degree <= deg P + deg num1 + deg num2
-    bound = (
-        max((d for d, _ in needed.values()), default=0)
-        + max(degs1, default=0)
-        + max(degs2, default=0)
-    )
-    used = sorted(set().union(*(u for _, u in needed.values())))
+    bound = degree + max(ks, default=k_pref) - k_pref + max(ls, default=l_pref) - l_pref
     uv = u_ids + v_ids
-    fields = list(dict.fromkeys(uv[p] for p in used))
+    fields = list(dict.fromkeys(map(uv.__getitem__, used)))
     fields += sorted((set(t1.fields) | set(t2.fields)) - set(fields))
     slot = {s: i for i, s in enumerate(fields)}
     packing = _Packing(len(fields), bound)
     where = tuple(map(slot.get, uv))
-    pieces = {kl: memo.packed_piece(m, n, *kl, packing, where) for kl in needed}
 
     mask = packing.mask
-    right = _premap(t2.packed, t2.packing, packing, [slot[s] for s in t2.fields])
-    # per k_eff, the right terms with the piece each one meets
-    rows = {
-        k: [(b2, c2, pieces[k, l_pref + (b2 & mask)]) for b2, c2 in right.items()]
-        for k in {k_pref + d1 for d1 in degs1}
-    }
-    acc: dict = {}
-    get = acc.get
-    for b1, c1 in _premap(t1.packed, t1.packing, packing, [slot[s] for s in t1.fields]).items():
-        for b2, c2, piece in rows[k_pref + (b1 & mask)]:
-            base = b1 + b2
-            c = c1 * c2
-            for e, pc in piece:
-                e += base
-                acc[e] = get(e, 0) + c * pc
     # equal monomials recur across the products of one memo, so the output
     # keys share one int object per value: at n = 7 the 4.76 M numerator
     # terms of F_7 have 84,528 distinct keys
     share = memo.keys.setdefault
-    acc = {share(e, e): c for e, c in acc.items() if c}
+    if t1.packed == t2.packed == {0: 1}:  # no one changes a term's packed dict
+        acc = memo.packed_piece(m, n, k_pref, l_pref, packing, where)
+    else:
+        pieces = {(k, l): memo.packed_piece(m, n, k, l, packing, where) for k in ks for l in ls}
+        right = _premap(t2.packed, t2.packing, packing, [slot[s] for s in t2.fields])
+        # per k_eff, the right terms with the piece each one meets
+        rows = {
+            k: [(b2, c2, pieces[k, l_pref + (b2 & mask)].items()) for b2, c2 in right.items()]
+            for k in ks
+        }
+        acc = {}
+        get = acc.get
+        left = _premap(t1.packed, t1.packing, packing, [slot[s] for s in t1.fields])
+        for b1, c1 in left.items():
+            for b2, c2, piece in rows[k_pref + (b1 & mask)]:
+                base = b1 + b2
+                c = c1 * c2
+                for e, pc in piece:
+                    e += base
+                    acc[e] = get(e, 0) + c * pc
+        acc = {share(e, e): c for e, c in acc.items() if c}
     seen = reduce(or_, acc, 0)
     kept = [s for s in fields if (seen >> packing.shifts[slot[s]]) & mask]
     if len(kept) < len(fields):
@@ -967,8 +985,8 @@ def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:
     Works term pair by term pair; every pair must satisfy the distinctness
     precondition (all sums u_i + v_j different), otherwise
     DistinctnessViolation propagates to the caller and the call's table is
-    dropped.  Each sum u + v is built and its form id rendered once per
-    call.
+    dropped.  Each distinct sum u + v is built and its form id rendered
+    once per call.
     """
     return _odot_closed(e1, e2, _ProductMemo())
 
@@ -991,10 +1009,12 @@ def _odot_closed(e1: RationalExpr, e2: RationalExpr, memo: _ProductMemo) -> Rati
 
 def permutation_form(registry: VariableRegistry, sigma) -> Series:
     """The degree-2 form sum_i z_i w_{sigma(i)} for a permutation of
-    0..n-1 given as a tuple of images."""
+    0..n-1 given as a tuple of int images (not bools)."""
+    if not isinstance(registry, VariableRegistry):
+        raise TypeError(f"a form needs a VariableRegistry, got {type(registry).__name__}")
     n = registry.pair_count
     sigma = tuple(sigma)
-    if sorted(sigma) != list(range(n)):
+    if any(type(s) is not int for s in sigma) or sorted(sigma) != list(range(n)):
         raise ValueError(f"{sigma} is not a permutation of 0..{n-1}")
     terms: dict = {}
     for i in range(n):
@@ -1006,4 +1026,6 @@ def permutation_form(registry: VariableRegistry, sigma) -> Series:
 
 
 def identity_form(registry: VariableRegistry) -> Series:
+    if not isinstance(registry, VariableRegistry):
+        raise TypeError(f"a form needs a VariableRegistry, got {type(registry).__name__}")
     return permutation_form(registry, range(registry.pair_count))

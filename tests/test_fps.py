@@ -205,6 +205,27 @@ def test_outside_bounds_are_checked():
             expr.expand(bad)
 
 
+@pytest.mark.parametrize("exps", [(True, True), (True, 1), (1, False), (2, True)])
+def test_constructors_refuse_bool_exponents(exps):
+    # a kept bool would be written as "exps": [true, true], which
+    # from_json_dict refuses to read back
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        Series(ZW1, 4, {exps: 3})
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        Series.one(ZW1, 4).shift(exps)
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        SymPoly(("a", "b"), {exps: 1})
+    # a q-series takes its parts' terms from Series, so its door is theirs
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        QSeries(ZW1, 4, 2, {1: Series(ZW1, 4, {exps: 3})})
+    ints = tuple(map(int, exps))
+    if sum(ints) == 2:  # the same term with int exponents reads back
+        s = Series(ZW1, 4, {ints: 3})
+        assert Series.from_json_dict(json.loads(json.dumps(s.to_json_dict()))) == s
+        (row,) = QSeries(ZW1, 4, 2, {1: s}).to_json_dict()["parts"]["1"]["terms"]
+        assert row["exps"] == list(ints) and bool not in map(type, row["exps"])
+
+
 # -- ring operations -----------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
-from dtmoments import genfun
+from dtmoments import genfun, ratfun
 from dtmoments.fps import Series, VariableRegistry, _Packing, geometric
 from dtmoments.genfun import (
     check_conjecture,
@@ -246,6 +246,42 @@ def test_genfun_doors_take_only_ints(door, args):
 def test_rational_expansion_matches_series():
     for n, D in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 8), (6, 6)):
         assert f_rational(n).expand(D) == f_series(n, D)
+
+
+def test_expand_at_six_pairs_divides_once_per_trie_node(monkeypatch):
+    # the 1,410 terms hold 5,552 factors besides the 2 that all of them
+    # share; a trie over the denominators has 2,278 nodes below those 2
+    calls = []
+    divide = ratfun._pdiv_one_minus
+    monkeypatch.setattr(ratfun, "_pdiv_one_minus", lambda *args: calls.append(1) or divide(*args))
+    got = f_rational(6).expand(8)
+    assert len(calls) <= 2426
+    assert got == f_series(6, 8)
+    assert hashlib.sha256(got.to_text().encode()).hexdigest()[:16] == "a2fd5ca85cd0a56f"
+
+
+def test_one_rational_call_renders_each_distinct_pair_sum_once(monkeypatch):
+    # F_6's closed products meet 650 pairs (u_id, v_id) but only 242 sums
+    f_rational(5)
+    inside, rendered = [], []
+    form_id, product = ratfun.form_id, genfun._odot_closed
+
+    def counted(form):
+        if inside:
+            rendered.append(form_id(form))
+        return form_id(form)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return product(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ratfun, "form_id", counted)
+    monkeypatch.setattr(genfun, "_odot_closed", flagged)
+    assert genfun.f_rational.__wrapped__(6) == f_rational(6)
+    assert len(rendered) == len(set(rendered)) == 242
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,22 @@ def test_multinomial():
     assert multinomial([1, 1, 1]) == 6
     assert multinomial([5]) == 1
     assert multinomial([]) == 1
+    assert multinomial(iter([2, 1])) == 3
+
+
+def test_multinomial_weights_refuse_bools():
+    # True == 1 gave 1 for each of these
+    with pytest.raises(TypeError, match=r"multinomial parts must be ints, not bools, got \(True,\)$"):
+        multinomial([True])
+    with pytest.raises(TypeError, match="not bools"):
+        multinomial((2, False))
+    with pytest.raises(ValueError, match="split positions must be increasing"):
+        nom([True], [True])
+    with pytest.raises(ValueError, match="split positions must be increasing"):
+        nom([1, 1], [True])
+    with pytest.raises(ValueError, match="only defined for entries >= 0"):
+        nom([True, 1], [1])
+    assert nom([1, 1], [1]) == 1
 
 
 # -- base cases and anchor values ------------------------------------------------------

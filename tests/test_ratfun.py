@@ -538,6 +538,17 @@ def test_permutation_form_shapes():
         permutation_form(ZW2, (0, 0))
 
 
+def test_form_doors_refuse_bools_and_other_registries():
+    # True == 1 sorts into a permutation, and a non-registry had no pair_count
+    for sigma in ([True, 0], (1, False), (1.0, 0)):
+        with pytest.raises(ValueError, match="is not a permutation of 0..1$"):
+            permutation_form(ZW2, sigma)
+    for registry in ("x", None, ("z1", "w1")):
+        for door in (identity_form, lambda r: permutation_form(r, (0,))):
+            with pytest.raises(TypeError, match="a form needs a VariableRegistry, got "):
+                door(registry)
+
+
 # -- rational expressions --------------------------------------------------------------
 
 
@@ -782,6 +793,79 @@ def test_expand_without_a_shared_form_equals_the_geometric_route():
     for D in range(0, 10):
         assert expr.expand(D) == expand_by_geometric(expr, D), D
     assert expr.expand(8) == geometric(u, 8) + geometric(v, 8)
+
+
+def _expand_forms() -> list:
+    """Degree-2 forms over z1, w1, z2, w2: the two permutation forms and
+    three with other monomials and coefficients."""
+    return [
+        identity_form(ZW2),
+        permutation_form(ZW2, (1, 0)),
+        Series(ZW2, 2, {(1, 1, 0, 0): 3, (1, 0, 0, 1): -1}),
+        Series(ZW2, 2, {(2, 0, 0, 0): 1, (0, 0, 0, 2): Fraction(1, 2)}),
+        Series(ZW2, 2, {(0, 1, 1, 0): -2}),
+    ]
+
+
+def _random_term(rng, denominators) -> RationalExpr:
+    """One term over ``denominators``: a random numerator over some of
+    their ids, with terms of degree 0 to 4 in them, and a random prefix of
+    degree 0, 2, 4 or 12 (past every bound tried)."""
+    ids = sorted({form_id(f) for f in denominators})
+    syms = tuple(rng.sample(ids, rng.randint(0, len(ids))))
+    numerator = SymPoly(syms, {
+        tuple(rng.randint(0, 2) for _ in syms): Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 3))
+    })
+    prefix = [0] * 4
+    for _ in range(rng.choice((0, 2, 4, 12))):
+        prefix[rng.randrange(4)] += 1
+    return RationalExpr.single(ZW2, prefix, numerator, denominators)
+
+
+def _shared_ids(expr) -> set:
+    return set.intersection(*(set(t.denominator) for t in expr.terms))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_expand_on_seeded_sums_equals_the_geometric_route(seed):
+    # D = 0..10 meets budgets of 0 (prefix degree = D), negative budgets
+    # and numerator terms whose degree times N is exactly at the budget or
+    # past it
+    rng = random.Random(seed)
+    forms = _expand_forms()
+    u = forms[0]
+    # no form in every denominator: one term holds only u, the others no u
+    apart = _random_term(rng, [u, u])
+    for _ in range(5):
+        apart = apart + _random_term(rng, rng.choices(forms[1:], k=rng.randint(1, 3)))
+    # u in every denominator, twice in one of them, and no other form in all
+    around = _random_term(rng, [u, u])
+    for _ in range(5):
+        around = around + _random_term(rng, [u] + rng.choices(forms[1:], k=rng.randint(1, 3)))
+    assert _shared_ids(apart) == set() and _shared_ids(around) == {form_id(u)}
+    for expr in (apart, around):
+        for D in range(11):
+            assert expr.expand(D) == expand_by_geometric(expr, D), (seed, D)
+
+
+def test_expand_keeps_a_numerator_term_exactly_at_the_budget():
+    # u*v has degree 4 under the prefix z1w2: it fits D = 6 and is skipped below
+    u, v = identity_form(ZW2), permutation_form(ZW2, (1, 0))
+    syms = tuple(sorted((form_id(u), form_id(v))))
+    expr = RationalExpr.single(ZW2, (1, 0, 0, 1), SymPoly(syms, {(1, 1): 1, (0, 0): 2}), [u, v])
+    for D in range(11):
+        assert expr.expand(D) == expand_by_geometric(expr, D), D
+    # at D = 6 the top slice is z1w2 (uv + 2(u^2 + uv + v^2)), uv from the numerator
+    u, v = u.with_trunc(6), v.with_trunc(6)
+    top = Series(ZW2, 6, {e: c for e, c in expr.expand(6).terms.items() if sum(e) == 6})
+    assert top == (u * v + (u * u + u * v + v * v).scale(2)).shift((1, 0, 0, 1))
+
+
+def test_expand_of_an_empty_expression_is_zero():
+    expr = RationalExpr(ZW2, FormTable(ZW2), [])
+    for D in range(11):
+        assert expr.expand(D) == Series.zero(ZW2, D) == expand_by_geometric(expr, D)
 
 
 def test_public_constructor_validates_every_term():
