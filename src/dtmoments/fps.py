@@ -32,7 +32,7 @@ not part of what they are.
 import math
 from fractions import Fraction
 from itertools import islice
-from operator import add, getitem
+from operator import add, getitem, itemgetter
 
 Exponents = tuple[int, ...]
 _CHUNK = 4096  # term lines per piece of rendered text
@@ -57,10 +57,11 @@ def _json_int(value, what: str) -> int:
 
 
 def _norm_coeff(c):
-    """Normalize an exact coefficient; integral Fractions collapse to int."""
+    """Normalize an exact coefficient; integral Fractions collapse to int.
+    A bool is refused, not read as 0 or 1."""
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
@@ -151,6 +152,18 @@ def _tremap(terms: dict, where, size: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _tmover(where, size: int):
+    """The map that sends entry i of an exponent tuple to position where[i]
+    of ``size`` positions, which must be distinct, and puts 0 elsewhere:
+    one itemgetter over the tuple with a 0 appended."""
+    inv = [len(where)] * size
+    for i, pos in enumerate(where):
+        inv[pos] = i
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    pick = itemgetter(*inv) if size > 1 else itemgetter(slice(0, 1))
+    return lambda e: pick(e + (0,))
+
+
 def _rename_positions(source, target, mapping) -> list:
     """The target position of each source variable under ``mapping``, once
     the checks every renaming runs have passed: both registries share one
@@ -209,6 +222,32 @@ def _text_lines(registry, terms: dict, head: str, indent=""):
         yield chunk
 
 
+def _poly_pretty(symbols, terms: dict, names=None) -> str:
+    """The human form of ``terms`` over ``symbols``, in the canonical order;
+    ``names`` maps a symbol to its display name (the symbol itself by
+    default)."""
+    labels = [names[s] for s in symbols] if names else symbols
+    tables = [_Tokens(f"{label}^", label) for label in labels]
+    pieces = []
+    for e, c in _in_key_order(terms):
+        mono = "".join(map(getitem, tables, e))
+        num, den = c.numerator, c.denominator
+        mag = abs(num)
+        if den != 1:
+            body = f"({mag}/{den}){mono}" if mono else f"{mag}/{den}"
+        elif not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}{mono}"
+        if not pieces:
+            pieces.append(body if num > 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if num > 0 else "- ") + body)
+    return " ".join(pieces) if pieces else "0"
+
+
 def _json_terms(terms: dict) -> list:
     """JSON rows of terms, in the canonical order."""
     return [
@@ -225,6 +264,11 @@ class _Value:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each slot's own setter, which bypasses the __setattr__ that refuses
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     @classmethod
     def _make(cls, *values):
         """An instance from trusted parts, given in __slots__ order."""
@@ -233,8 +277,8 @@ class _Value:
         return self
 
     def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, values):
+            put(self, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")

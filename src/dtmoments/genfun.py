@@ -162,10 +162,8 @@ def _packed_factor(where, prefix, packing: _Packing, D: int, memo: dict) -> dict
     return _pshift(_premap(terms, packing, packing, where), packing.mono(prefix), mask, D)
 
 
-def _rational_factor(registry, where, prefix) -> RationalExpr:
-    inner = f_rational(len(where) // 2)
-    mapping = dict(zip(inner.registry.names, [registry.names[p] for p in where]))
-    return inner.substitute(registry, mapping).scale_prefix(prefix)
+def _rational_factor(registry, where, prefix, memo: _ProductMemo) -> RationalExpr:
+    return f_rational(len(where) // 2)._placed(registry, where, prefix, memo)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -175,14 +173,17 @@ def f_rational(n: int) -> RationalExpr:
 
     The split sets are walked in the output's term order (r = 2..n splits,
     each r-subset in lexicographic order) over two tables that place every
-    outer and inner factor once per call: n(n - 1) placements in all.
+    outer and inner factor once per call, each in one pass that renames and
+    shifts together: n(n - 1) placements in all.
 
     Each term's numerator stays packed from the closed product to the
     renderer (see ratfun.RationalTerm).  A call keeps one memo for its
-    closed products and drops it when it returns: the pair-sum ids, keyed
-    by (u_id, v_id) and by terms, and the packed pieces of P.  A memo pair
-    sum still enters each product's table by key where it did before, so
-    the u1, u2, ... aliases are as without the memo.
+    placements and closed products and drops it when it returns: every
+    form's id keyed by its terms, so each distinct form is rendered once
+    per call, the pair sums also by (u_id, v_id), the packed pieces of P
+    and the numerator layouts of pairs whose numerators are both 1.  A
+    memo form still enters each table by key where it did before, so the
+    u1, u2, ... aliases are as without the memo.
 
     Observed for n <= 7 by the tests, not proved here nor taken from the
     paper: the denominator forms are exactly the permutation forms
@@ -200,8 +201,8 @@ def f_rational(n: int) -> RationalExpr:
         return RationalExpr.geometric_term(registry, identity_form(registry))
     memo = _ProductMemo()
     pairs = list(combinations(range(n), 2))
-    outer = {(a, b): _rational_factor(registry, *_outer(n, a, b)) for a, b in pairs}
-    inner = {(a, b): _rational_factor(registry, *_inner(n, a, b)) for a, b in pairs}
+    outer = {(a, b): _rational_factor(registry, *_outer(n, a, b), memo) for a, b in pairs}
+    inner = {(a, b): _rational_factor(registry, *_inner(n, a, b), memo) for a, b in pairs}
 
     def split_terms():
         for r in range(2, n + 1):

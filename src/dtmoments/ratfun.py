@@ -13,8 +13,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
-from operator import add, getitem, or_
+from itertools import combinations_with_replacement, product
+from operator import add, itemgetter, or_
 
 from .fps import (
     Series,
@@ -27,13 +27,14 @@ from .fps import (
     _padd_into,
     _pdiv_one_minus,
     _pmul_trunc,
+    _poly_pretty,
     _premap,
     _pshift,
     _rename_positions,
+    _tmover,
     _tmul,
     _tremap,
     _tscale,
-    _Tokens,
     _Value,
 )
 
@@ -203,32 +204,6 @@ class SymPoly(_Value):
 
     def to_json_dict(self) -> dict:
         return {"symbols": list(self.symbols), "terms": _json_terms(self.terms)}
-
-
-def _poly_pretty(symbols, terms: dict, names=None) -> str:
-    """The human form of ``terms`` over ``symbols``, in the canonical order;
-    ``names`` maps a symbol to its display name (the symbol itself by
-    default)."""
-    labels = [names[s] for s in symbols] if names else symbols
-    tables = [_Tokens(f"{label}^", label) for label in labels]
-    pieces = []
-    for e, c in _in_key_order(terms):
-        mono = "".join(map(getitem, tables, e))
-        num, den = c.numerator, c.denominator
-        mag = abs(num)
-        if den != 1:
-            body = f"({mag}/{den}){mono}" if mono else f"{mag}/{den}"
-        elif not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}{mono}"
-        if not pieces:
-            pieces.append(body if num > 0 else f"-{body}")
-        else:
-            pieces.append(("+ " if num > 0 else "- ") + body)
-    return " ".join(pieces) if pieces else "0"
 
 
 # -- the universal numerator polynomials ----------------------------------------------
@@ -684,28 +659,28 @@ class RationalExpr(_Value):
     def substitute(self, target: VariableRegistry, name_map: dict) -> "RationalExpr":
         """Rename variables into another registry; form ids are recomputed.
         ``name_map`` runs Series.rename's checks once per call, so an
-        expression without forms is checked too.  A renaming keeps distinct
-        forms distinct, so each numerator keeps its packed terms and only
-        its fields are relabelled."""
+        expression without forms is checked too."""
         where = _rename_positions(self.registry, target, name_map)
-        table = FormTable(target)
-        rename: dict[str, str] = {}
+        return self._placed(target, where, (0,) * target.size, _ProductMemo())
+
+    def _placed(self, target, where, prefix: tuple, memo) -> "RationalExpr":
+        """The expression with source variable i at position where[i] of
+        ``target`` and every term times the monomial ``prefix``, in one
+        unchecked pass: each distinct source prefix moves once, and a form
+        whose terms ``memo`` holds is not rendered again.  Distinct forms
+        stay distinct, so each numerator keeps its packed terms and only its
+        fields are relabelled."""
+        move = _tmover(where, target.size)
+        table, rename, moved, terms = FormTable(target), {}, {}, []
         for fid, f in self._table.forms.items():
-            form = Series._make(target, f.trunc, _tremap(f.terms, where, target.size))
-            rename[fid] = table.add(form)
-        terms = []
+            rename[fid], form = memo.form(target, {move(e): c for e, c in f.terms.items()})
+            table.forms[rename[fid]] = form
         for t in self.terms:
-            # the prefix is one monomial: remapped as a one-term dict
-            (prefix,) = _tremap({t.prefix: 1}, where, target.size)
-            terms.append(
-                RationalTerm._make(
-                    prefix,
-                    tuple(sorted(rename[fid] for fid in t.denominator)),
-                    tuple(rename[s] for s in t.fields),
-                    t.packing,
-                    t.packed,
-                )
-            )
+            if t.prefix not in moved:
+                moved[t.prefix] = tuple(map(add, move(t.prefix), prefix))
+            dens = tuple(sorted(map(rename.get, t.denominator)))
+            syms = tuple(map(rename.get, t.fields))
+            terms.append(RationalTerm._make(moved[t.prefix], dens, syms, t.packing, t.packed))
         return RationalExpr._make(target, table, tuple(terms))
 
     # -- evaluation --
@@ -716,27 +691,31 @@ class RationalExpr(_Value):
         Runs on packed exponents in f_series's layout, _Packing(size,
         max(trunc, 255)), so the final unpack reads bytes.  Each numerator
         is evaluated at the packed forms (its terms of degree k give degree
-        kN, so those past the budget are skipped) and shifted by its prefix.
-        Division by 1 - u is linear and commutes with the shift, so the parts
-        are divided through a trie over the denominator ids, the ids every
-        term holds first: terms that share a leading run of ids, adjacent in
-        sorted order, sum before the division by each id of the run, and only
-        the sums on one open path are alive at a time.  The tests check it
-        against ``geometric(u, D)``.  ``trunc`` must be an int >= 0, not a bool.
+        kN, so those past the budget are skipped, and a form is packed when
+        first used) and shifted by its prefix.  Division by 1 - u is linear
+        and commutes with the shift, so the parts are divided through a trie
+        over the denominator ids, the ids every term holds first: terms that
+        share a leading run of ids, adjacent in sorted order, sum before the
+        division by each id of the run, and only the sums on one open path
+        are alive at a time.  A part with no term of degree <= trunc - N is
+        its own quotient.  The tests check it against ``geometric(u, D)``.
+        ``trunc`` must be an int >= 0, not a bool.
         """
         if _json_int(trunc, "truncation bound") < 0:
             raise ValueError("truncation bound must be >= 0")
         packing = _Packing(self.registry.size, max(trunc, 255))
         mask = packing.mask
         N = self.registry.modulus
-        forms = {fid: packing.pack(f.terms, trunc) for fid, f in self._table.forms.items()}
+        low = trunc - N  # a part with no term of degree <= low is its own quotient
+        # packed on first use: a term past its budget needs none of its forms
+        form = lru_cache(maxsize=None)(lambda f: packing.pack(self._table.forms[f].terms, trunc))
         powers: dict = {}
         shift = lru_cache(maxsize=None)(packing.mono)
 
         def power(fid: str, k: int) -> dict:
             if (fid, k) not in powers:
                 lower = {0: 1} if k == 1 else power(fid, k - 1)
-                powers[fid, k] = _pmul_trunc(lower, forms[fid], mask, trunc)
+                powers[fid, k] = _pmul_trunc(lower, form(fid), mask, trunc)
             return powers[fid, k]
 
         shared = set(self.terms[0].denominator if self.terms else ())
@@ -755,15 +734,16 @@ class RationalExpr(_Value):
         def close(depth: int) -> None:
             while len(path) > depth:
                 fid, part = path.pop(), sums.pop()
-                if part:
-                    add(_pdiv_one_minus(part, forms[fid], mask, trunc))
+                if any(e & mask <= low for e in part):
+                    part = _pdiv_one_minus(part, form(fid), mask, trunc)
+                add(part)
 
-        for t in sorted(self.terms, key=trie_path):
+        for ids, t in sorted(zip(map(trie_path, self.terms), self.terms), key=itemgetter(0)):
             budget = trunc - sum(t.prefix)
             fmask = t.packing.mask
             fields = list(zip(t.fields, t.packing.shifts))
             part: dict = {}
-            for e, c in t.packed.items():
+            for e, c in t.packed.items() if budget >= 0 else ():
                 if (e & fmask) * N <= budget:
                     factors = [power(s, x) for s, w in fields if (x := (e >> w) & fmask)]
                     mono = factors[0] if factors else {0: 1}
@@ -771,7 +751,6 @@ class RationalExpr(_Value):
                         mono = _pmul_trunc(mono, f, mask, budget)
                     _padd_into(part, mono, c)
             if part:  # so budget >= 0; the shift drops what lies above it
-                ids = trie_path(t)
                 pairs = enumerate(zip(path, ids))
                 close(next((i for i, (a, b) in pairs if a != b), min(len(path), len(ids))))
                 sums += [{} for _ in ids[len(path):]]
@@ -836,17 +815,27 @@ class RationalExpr(_Value):
 
 
 class _ProductMemo:
-    """What the closed products over one registry may share: each pair sum
-    u + v's id and form, keyed by (u_id, v_id) (ids fix forms within a
-    registry) and by its terms, so each distinct sum is built and rendered
-    once; P's shapes and packed pieces for the numerators; and one int
-    object per packed monomial value for their keys.  f_rational keeps one
-    for the length of a call; odot_closed makes one per call."""
+    """What the closed products and placements over one registry may share:
+    each form's id and form keyed by its terms, so each distinct form is
+    rendered once, and each pair sum's by (u_id, v_id) as well (ids fix
+    forms within a registry); P's shapes and packed pieces; the numerator
+    layouts of pairs whose numerators are both 1, one template per shape
+    (see _odot_pair); and one int object per packed monomial value for the
+    numerators' keys.  f_rational keeps one for the length of a call;
+    odot_closed and substitute make one per call."""
 
-    __slots__ = ("sums", "shapes", "packed", "keys")
+    __slots__ = ("sums", "shapes", "packed", "templates", "keys")
 
     def __init__(self):
-        self.sums, self.shapes, self.packed, self.keys = {}, {}, {}, {}
+        self.sums, self.shapes, self.packed, self.templates, self.keys = {}, {}, {}, {}, {}
+
+    def form(self, registry: VariableRegistry, terms: dict) -> tuple:
+        """(id, form) of the degree-N form with ``terms``, rendered once."""
+        content = frozenset(terms.items())
+        if content not in self.sums:
+            form = Series._make(registry, registry.modulus, terms)
+            self.sums[content] = FormTable(registry).add(form), form
+        return self.sums[content]
 
     def shape(self, m: int, n: int, ks: frozenset, ls: frozenset) -> tuple:
         """(degree, used) over the pieces P^{k,l}_{m,n}, k in ks and l in ls:
@@ -876,20 +865,17 @@ class _ProductMemo:
 def _odot_pair(
     registry, table, forms1, t1: RationalTerm, forms2, t2: RationalTerm, memo: _ProductMemo
 ) -> RationalTerm:
-    """One term pair of the closed product.
+    """One term pair of the closed product: the id part here, the numerator
+    part in _pair_numerator.
 
-    A pair sum comes from ``memo`` when an earlier pair built it or a sum
-    of the same terms, and enters ``table`` by key where table.add would
-    have put it, so the table keeps its row-major order: this pair's sums,
-    then its numerator symbols, which move over from the operand tables by id.
-
-    The numerator is built packed and stays packed.  The output layout puts
-    the u/v symbols that the needed pieces of P use first, in u/v order,
-    then the operands' other fields, sorted, so that most pairs meet the
-    pieces the memo already packed.  Two numerators 1 give the piece
-    itself; else every numerator term pair adds its base monomial e1 + e2
-    to the piece's terms and scales them by c1 * c2.  A field that no
-    output term uses is dropped at the end.
+    Each pair sum comes from ``memo``, built and rendered there the first
+    time the call meets it, and all of them enter ``table`` by key where
+    table.add would have put them, so the table keeps its row-major order:
+    this pair's sums, then its numerator symbols, which move over from the
+    operand tables by id.  A pair whose numerators are both 1 reads its
+    numerator part off a template that the memo keeps per (m, n, k_pref,
+    l_pref, which of u_ids + v_ids coincide), laid out once on the
+    positions of u_ids + v_ids in place of their ids.
     """
     m = len(t1.denominator)
     n = len(t2.denominator)
@@ -898,23 +884,14 @@ def _odot_pair(
     N = registry.modulus
     u_ids = t1.denominator
     v_ids = t2.denominator
-    sums = memo.sums
-    flat = []
-    for a in u_ids:
-        for b in v_ids:
-            known = sums.get((a, b))
-            if known is None:
-                terms = dict(forms1[a].terms)
-                _padd_into(terms, forms2[b].terms)
-                content = frozenset(terms.items())
-                known = sums.get(content)
-                if known is None:
-                    fid = table.add(Series._make(registry, N, terms))
-                    known = sums[content] = fid, table.forms[fid]
-                sums[a, b] = known
-            fid, form = known
-            table.forms.setdefault(fid, form)
-            flat.append(fid)
+    known = list(map(memo.sums.get, product(u_ids, v_ids)))
+    for i, (a, b) in enumerate(product(u_ids, v_ids)):
+        if known[i] is None:
+            terms = dict(forms1[a].terms)
+            _padd_into(terms, forms2[b].terms)
+            known[i] = memo.sums[a, b] = memo.form(registry, terms)
+    table.forms.update(known)
+    flat, _ = zip(*known)
     if len(set(flat)) != m * n:
         collisions = sorted(fid for fid, cnt in Counter(flat).items() if cnt > 1)
         raise DistinctnessViolation(
@@ -927,10 +904,38 @@ def _odot_pair(
     ls = frozenset([l_pref + (e & t2.packing.mask) for e in t2.packed])
     if ks and ls and (max(ks) > m - 1 or max(ls) > n - 1):
         raise ValueError("closed product needs (prefix + numerator) shorter than the denominator")
+    uv = u_ids + v_ids
+    if t1.packed == t2.packed == {0: 1}:  # no one changes a term's packed dict
+        at = tuple(map(uv.index, uv))  # each id's first position in uv
+        key = (m, n, k_pref, l_pref, at)
+        if key not in memo.templates:
+            memo.templates[key] = _pair_numerator(memo, m, n, at, ks, ls, k_pref, l_pref, t1, t2)
+        fields, packing, acc = memo.templates[key]
+        fields = list(map(uv.__getitem__, fields))
+    else:
+        fields, packing, acc = _pair_numerator(memo, m, n, uv, ks, ls, k_pref, l_pref, t1, t2)
+    # in sorted order: the table's insertion order sets its u1, u2, ... aliases
+    for s in sorted(fields):
+        table.forms.setdefault(s, forms1[s] if s in forms1 else forms2[s])
+    prefix = tuple(map(add, t1.prefix, t2.prefix))
+    return RationalTerm._make(prefix, tuple(sorted(flat)), tuple(fields), packing, acc)
+
+
+def _pair_numerator(memo, m, n, uv, ks, ls, k_pref, l_pref, t1, t2) -> tuple:
+    """(fields, packing, packed): one pair's numerator over the u/v symbols
+    ``uv``, from the pieces P^{k,l}_{m,n}, k in ks and l in ls, and the
+    numerators of t1 and t2.
+
+    The layout puts the u/v symbols that the needed pieces use first, in
+    u/v order, then the operands' other fields, sorted, so that most pairs
+    meet the pieces the memo already packed.  Two numerators 1 give the
+    piece itself; else every numerator term pair adds its base monomial
+    e1 + e2 to the piece's terms and scales them by c1 * c2.  A field that
+    no output term uses is dropped at the end.
+    """
     degree, used = memo.shape(m, n, ks, ls)
     # an output term has degree <= deg P + deg num1 + deg num2
     bound = degree + max(ks, default=k_pref) - k_pref + max(ls, default=l_pref) - l_pref
-    uv = u_ids + v_ids
     fields = list(dict.fromkeys(map(uv.__getitem__, used)))
     fields += sorted((set(t1.fields) | set(t2.fields)) - set(fields))
     slot = {s: i for i, s in enumerate(fields)}
@@ -942,7 +947,7 @@ def _odot_pair(
     # keys share one int object per value: at n = 7 the 4.76 M numerator
     # terms of F_7 have 84,528 distinct keys
     share = memo.keys.setdefault
-    if t1.packed == t2.packed == {0: 1}:  # no one changes a term's packed dict
+    if t1.packed == t2.packed == {0: 1}:
         acc = memo.packed_piece(m, n, k_pref, l_pref, packing, where)
     else:
         pieces = {(k, l): memo.packed_piece(m, n, k, l, packing, where) for k in ks for l in ls}
@@ -971,12 +976,7 @@ def _odot_pair(
         acc = _premap(acc, packing, narrow, [at.get(s) for s in fields])
         acc = {share(e, e): c for e, c in acc.items()}
         fields, packing = kept, narrow
-
-    # in sorted order: the table's insertion order sets its u1, u2, ... aliases
-    for s in sorted(fields):
-        table.forms.setdefault(s, forms1[s] if s in forms1 else forms2[s])
-    prefix = tuple(map(add, t1.prefix, t2.prefix))
-    return RationalTerm._make(prefix, tuple(sorted(flat)), tuple(fields), packing, acc)
+    return fields, packing, acc
 
 
 def odot_closed(e1: RationalExpr, e2: RationalExpr) -> RationalExpr:

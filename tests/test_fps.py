@@ -226,6 +226,25 @@ def test_constructors_refuse_bool_exponents(exps):
         assert row["exps"] == list(ints) and bool not in map(type, row["exps"])
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_constructors_refuse_bool_coefficients(flag):
+    # a bool used to be taken as the int 1 or 0
+    with pytest.raises(TypeError, match="got bool"):
+        Series(ZW1, 4, {(1, 1): flag})
+    with pytest.raises(TypeError, match="got bool"):
+        Series.monomial(ZW1, 4, (1, 1), flag)
+    with pytest.raises(TypeError, match="got bool"):
+        Series.one(ZW1, 4).shift((1, 1), flag)
+    with pytest.raises(TypeError, match="got bool"):
+        SymPoly(("a",), {(1,): flag})
+    # a q-series takes its parts' terms from Series, so its door is theirs
+    with pytest.raises(TypeError, match="got bool"):
+        QSeries(ZW1, 4, 2, {1: Series(ZW1, 4, {(1, 1): flag})})
+    # the int coefficients are still taken, and the trusted _make checks nothing
+    assert Series(ZW1, 4, {(1, 1): int(flag)}).terms == ({(1, 1): 1} if flag else {})
+    assert Series._make(ZW1, 4, {(1, 1): flag}).terms == {(1, 1): flag}
+
+
 # -- ring operations -----------------------------------------------------------
 
 

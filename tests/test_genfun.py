@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -261,27 +261,34 @@ def test_expand_at_six_pairs_divides_once_per_trie_node(monkeypatch):
 
 
 def test_one_rational_call_renders_each_distinct_pair_sum_once(monkeypatch):
-    # F_6's closed products meet 650 pairs (u_id, v_id) but only 242 sums
-    f_rational(5)
-    inside, rendered = [], []
-    form_id, product = ratfun.form_id, genfun._odot_closed
+    # the whole call, placements included: its 30 placements and 1,646 term
+    # pairs share one memo keyed by form content, so each of the 654
+    # distinct forms it meets, placed or a pair sum, is rendered once
+    want = f_rational(6)  # and the lower orders, all cached before counting
+    rendered = []
+    form_id = ratfun.form_id
 
     def counted(form):
-        if inside:
-            rendered.append(form_id(form))
-        return form_id(form)
-
-    def flagged(*args):
-        inside.append(True)
-        try:
-            return product(*args)
-        finally:
-            inside.pop()
+        rendered.append(form_id(form))
+        return rendered[-1]
 
     monkeypatch.setattr(ratfun, "form_id", counted)
-    monkeypatch.setattr(genfun, "_odot_closed", flagged)
-    assert genfun.f_rational.__wrapped__(6) == f_rational(6)
-    assert len(rendered) == len(set(rendered)) == 242
+    assert genfun.f_rational.__wrapped__(6) == want
+    assert len(rendered) == len(set(rendered)) == 654
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_pass_placement_equals_substitute_then_scale_prefix(n):
+    registry = genfun._registry(n)
+    memo = ratfun._ProductMemo()
+    for a, b in combinations(range(n), 2):
+        for where, prefix in (genfun._outer(n, a, b), genfun._inner(n, a, b)):
+            inner = f_rational(len(where) // 2)
+            mapping = dict(zip(inner.registry.names, [registry.names[p] for p in where]))
+            want = inner.substitute(registry, mapping).scale_prefix(prefix)
+            got = genfun._rational_factor(registry, where, prefix, memo)
+            assert got == want
+            assert list(got.table.forms) == list(want.table.forms)  # the same aliases
 
 
 @pytest.mark.parametrize(

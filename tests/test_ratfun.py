@@ -39,6 +39,7 @@ from dtmoments import genfun, ratfun
 from conftest import CLONES, ZW2, ZW3, assert_frozen
 from oracles import (
     _div_linear,
+    _odot_pair_by_products,
     _row_product,
     _swapped,
     expand_by_geometric,
@@ -84,6 +85,14 @@ def test_sympoly_constructor_validates_every_term():
     with pytest.raises(TypeError):
         SymPoly(("a", "b"), {(1, 0): 0.5})
     assert SymPoly(("a", "b"), [((1, 0), 2), ((1, 0), -2), ((0, 1), 0)]).is_zero()
+
+
+def test_single_term_refuses_a_bool_numerator():
+    u = identity_form(ZW2)
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="got bool"):
+            RationalExpr.single(ZW2, (0,) * 4, flag, [u])
+    assert RationalExpr.single(ZW2, (0,) * 4, 1, [u]) == RationalExpr.geometric_term(ZW2, u)
 
 
 def test_sympoly_is_immutable():
@@ -714,6 +723,87 @@ def test_odot_closed_equals_the_product_route_on_seeded_pairs():
             for t in left.terms
         )
     assert reused
+
+
+# -- numerator-1 pairs from per-shape templates ----------------------------------------
+
+
+def _ones(t1, t2):
+    return t1.packed == t2.packed == {0: 1}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_numerator_one_pairs_equal_the_product_route_in_f_rational(monkeypatch, n):
+    for m in range(1, n):
+        genfun.f_rational(m)
+    pair, checked = ratfun._odot_pair, []
+
+    def compared(registry, table, forms1, t1, forms2, t2, memo):
+        got = pair(registry, table, forms1, t1, forms2, t2, memo)
+        if _ones(t1, t2):
+            scratch = FormTable(registry)
+            assert got == _odot_pair_by_products(registry, scratch, forms1, t1, forms2, t2)
+            checked.append(got)
+        return got
+
+    monkeypatch.setattr(ratfun, "_odot_pair", compared)
+    assert genfun.f_rational.__wrapped__(n) == genfun.f_rational(n)
+    assert checked
+
+
+def test_f_rational_lays_out_each_numerator_one_shape_once(monkeypatch):
+    # F_6's 1,646 term pairs include 1,373 whose numerators are both 1; they
+    # need one layout per (m, n, k_pref, l_pref, coincidence pattern), 15 in all
+    genfun.f_rational(5)
+    pair, layout = ratfun._odot_pair, ratfun._pair_numerator
+    pairs, layouts = [], []
+
+    def counted_pair(*args):
+        pairs.append(_ones(args[3], args[5]))
+        return pair(*args)
+
+    def counted_layout(memo, m, n, uv, ks, ls, k_pref, l_pref, t1, t2):
+        if _ones(t1, t2):
+            layouts.append((m, n, k_pref, l_pref, uv))
+        return layout(memo, m, n, uv, ks, ls, k_pref, l_pref, t1, t2)
+
+    monkeypatch.setattr(ratfun, "_odot_pair", counted_pair)
+    monkeypatch.setattr(ratfun, "_pair_numerator", counted_layout)
+    genfun.f_rational.__wrapped__(6)
+    assert (len(pairs), sum(pairs)) == (1646, 1373)
+    assert len(layouts) == len(set(layouts)) == 15
+    # laid out on positions of u_ids + v_ids, not on ids
+    assert all(uv == tuple(range(m + n)) for m, n, _, _, uv in layouts)
+
+
+def _numerator_one_expr(rng, pool, count):
+    """A sum of ``count`` terms with numerator 1 over forms from ``pool``,
+    each with a random prefix shorter than its denominator."""
+    expr = None
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        k = rng.randint(0, m - 1)
+        prefix = zw_mono(ZW3, [(x, rng.randrange(3)) for _ in range(k) for x in "zw"])
+        term = RationalExpr.single(ZW3, prefix, 1, rng.sample(pool, m))
+        expr = term if expr is None else expr + term
+    return expr
+
+
+def test_numerator_one_templates_equal_the_product_route_on_seeded_pairs():
+    # one memo across the products, as in f_rational; the pools share one
+    # form, so a u and a v can be the same id, which a template's key tells
+    rng = random.Random(20261021)
+    forms = [_random_form(rng) for _ in range(7)]
+    memo = ratfun._ProductMemo()
+    for _ in range(16):
+        left = _numerator_one_expr(rng, forms[:4], 3)
+        right = _numerator_one_expr(rng, forms[3:], 2)
+        got = _odot_closed(left, right, memo)
+        assert got == odot_closed_by_products(left, right)
+        assert list(got.table.forms) == list(odot_closed_by_products(left, right).table.forms)
+    patterns = [key[4] for key in memo.templates]
+    assert any(at != tuple(range(len(at))) for at in patterns)
+    assert len(patterns) < 16 * 6
 
 
 def test_odot_closed_rejects_long_prefix():
